@@ -224,13 +224,6 @@ impl DaemonHandle {
         self.pid
     }
 
-    /// The command channel (used by the TCP session layer and the
-    /// `ar-svc` service tier to register remote clients through the
-    /// same path as in-process ones).
-    pub(crate) fn command_sender(&self) -> Sender<Command> {
-        self.cmd_tx.clone()
-    }
-
     /// The shared backpressure gauge the daemon loop refreshes every
     /// iteration (send-queue depth for the service tier's credit
     /// throttling).
@@ -250,58 +243,18 @@ impl DaemonHandle {
 
     /// Connects a new client with the given private name and the
     /// default bounded event queue
-    /// ([`crate::client::DEFAULT_EVENT_CAPACITY`]).
+    /// ([`crate::client::DEFAULT_EVENT_CAPACITY`]). Once the queue
+    /// holds that many undrained events, further events are dropped
+    /// and counted ([`DaemonClient::dropped_events`]) instead of
+    /// growing daemon memory.
     ///
     /// # Errors
     ///
     /// Returns [`ClientError::InvalidName`],
     /// [`ClientError::DuplicateName`], or [`ClientError::DaemonDown`].
     pub fn connect(&self, name: &str) -> Result<DaemonClient, ClientError> {
-        self.connect_with_capacity(name, crate::client::DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// Connects with an explicit event-queue capacity. Once the queue
-    /// holds `capacity` undrained events, further events are dropped
-    /// and counted ([`DaemonClient::dropped_events`]) instead of
-    /// growing daemon memory.
-    ///
-    /// # Errors
-    ///
-    /// As for [`connect`](Self::connect).
-    pub fn connect_with_capacity(
-        &self,
-        name: &str,
-        capacity: usize,
-    ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, false)
-    }
-
-    /// Connects a service-tier session: like
-    /// [`connect_with_capacity`](Self::connect_with_capacity), but the
-    /// session additionally receives a [`ClientEvent::Ordered`] each
-    /// time one of its own multicasts is applied. The `ar-svc` tier
-    /// uses this to replenish per-client publish credits at Agreed
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// As for [`connect`](Self::connect).
-    pub fn connect_service(
-        &self,
-        name: &str,
-        capacity: usize,
-    ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, true)
-    }
-
-    fn connect_inner(
-        &self,
-        name: &str,
-        capacity: usize,
-        wants_send_acks: bool,
-    ) -> Result<DaemonClient, ClientError> {
         self.connector()
-            .connect_inner(name, capacity, wants_send_acks)
+            .connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, false)
     }
 
     /// Stops the daemon and returns its loop result.
@@ -345,29 +298,11 @@ impl DaemonConnector {
         self.pid
     }
 
-    /// As [`DaemonHandle::connect`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DaemonHandle::connect`].
-    pub fn connect(&self, name: &str) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, false)
-    }
-
-    /// As [`DaemonHandle::connect_with_capacity`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DaemonHandle::connect`].
-    pub fn connect_with_capacity(
-        &self,
-        name: &str,
-        capacity: usize,
-    ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, false)
-    }
-
-    /// As [`DaemonHandle::connect_service`].
+    /// Connects a service-tier session with an event queue of
+    /// `capacity` (see [`DaemonHandle::connect`]). The session
+    /// additionally receives a [`ClientEvent::Ordered`] each time one
+    /// of its own multicasts is applied; the `ar-svc` tier uses this to
+    /// replenish per-client publish credits at Agreed time.
     ///
     /// # Errors
     ///

@@ -1,8 +1,7 @@
 //! Deployment configuration files (the `spread.conf` analog).
 //!
 //! A deployment file names every daemon in the data center segment with
-//! its protocol socket addresses and optional client-listener address,
-//! plus protocol tuning options:
+//! its protocol socket addresses, plus protocol tuning options:
 //!
 //! ```text
 //! # ar.conf — one ring, three daemons
@@ -10,13 +9,15 @@
 //! personal_window 30
 //! accelerated_window 20
 //!
-//! daemon 0 token=192.168.1.10:7400 data=192.168.1.10:7401 clients=192.168.1.10:7500
-//! daemon 1 token=192.168.1.11:7400 data=192.168.1.11:7401 clients=192.168.1.11:7500
+//! daemon 0 token=192.168.1.10:7400 data=192.168.1.10:7401
+//! daemon 1 token=192.168.1.11:7400 data=192.168.1.11:7401
 //! daemon 2 token=192.168.1.12:7400 data=192.168.1.12:7401
 //! ```
 //!
 //! `#` starts a comment; blank lines are ignored; daemons may appear in
-//! any order but identifiers must be unique.
+//! any order but identifiers must be unique. Client listeners are not
+//! part of the file: each daemon takes them on its command line
+//! (`ard --client-addr` / `--client-uds`).
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -32,8 +33,6 @@ pub struct DaemonEntry {
     pub pid: ParticipantId,
     /// Protocol socket addresses (token + data).
     pub addrs: PeerAddrs,
-    /// Optional TCP address where this daemon accepts remote clients.
-    pub client_addr: Option<SocketAddr>,
 }
 
 /// A parsed deployment configuration.
@@ -129,18 +128,23 @@ impl Deployment {
                     let pid = ParticipantId::new(id);
                     let mut token = None;
                     let mut data = None;
-                    let mut clients = None;
                     for opt in words {
                         let (k, v) = opt.split_once('=').ok_or_else(|| {
                             err(lineno, format!("expected key=value, got '{opt}'"))
                         })?;
+                        if k == "clients" {
+                            return Err(err(
+                                lineno,
+                                "clients= is no longer supported; start the daemon with \
+                                 `ard --client-addr <host:port>` instead",
+                            ));
+                        }
                         let addr: SocketAddr = v
                             .parse()
                             .map_err(|_| err(lineno, format!("invalid address '{v}'")))?;
                         match k {
                             "token" => token = Some(addr),
                             "data" => data = Some(addr),
-                            "clients" => clients = Some(addr),
                             other => return Err(err(lineno, format!("unknown option '{other}'"))),
                         }
                     }
@@ -149,7 +153,6 @@ impl Deployment {
                     let entry = DaemonEntry {
                         pid,
                         addrs: PeerAddrs { token, data },
-                        client_addr: clients,
                     };
                     if daemons.insert(pid, entry).is_some() {
                         return Err(err(lineno, format!("duplicate daemon id {id}")));
@@ -238,7 +241,7 @@ protocol accelerated
 personal_window 25
 accelerated_window 15
 
-daemon 0 token=127.0.0.1:7400 data=127.0.0.1:7401 clients=127.0.0.1:7500
+daemon 0 token=127.0.0.1:7400 data=127.0.0.1:7401
 daemon 1 token=127.0.0.1:7402 data=127.0.0.1:7403   # trailing comment
 ";
 
@@ -250,9 +253,9 @@ daemon 1 token=127.0.0.1:7402 data=127.0.0.1:7403   # trailing comment
         assert_eq!(d.protocol.accelerated_window, 15);
         let d0 = d.daemon(ParticipantId::new(0)).unwrap();
         assert_eq!(d0.addrs.token.port(), 7400);
-        assert_eq!(d0.client_addr.unwrap().port(), 7500);
+        assert_eq!(d0.addrs.data.port(), 7401);
         let d1 = d.daemon(ParticipantId::new(1)).unwrap();
-        assert_eq!(d1.client_addr, None);
+        assert_eq!(d1.addrs.data.port(), 7403);
         let map = d.peer_map();
         assert_eq!(map.len(), 2);
     }
@@ -304,6 +307,15 @@ daemon 1 token=127.0.0.1:7402 data=127.0.0.1:7403   # trailing comment
     fn rejects_missing_addresses() {
         let e = Deployment::parse("daemon 0 token=127.0.0.1:1\n").unwrap_err();
         assert!(e.message.contains("data="));
+    }
+
+    #[test]
+    fn rejects_clients_option_naming_the_replacement() {
+        let text = "daemon 0 token=127.0.0.1:1 data=127.0.0.1:2 clients=127.0.0.1:3\n";
+        let e = Deployment::parse(text).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("clients="), "{}", e.message);
+        assert!(e.message.contains("ard --client-addr"), "{}", e.message);
     }
 
     #[test]

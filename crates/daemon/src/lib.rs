@@ -68,7 +68,6 @@ pub mod group;
 pub mod metrics;
 pub mod packing;
 pub mod proto;
-pub mod session;
 pub mod shard;
 pub mod sharded;
 
@@ -81,6 +80,5 @@ pub use deployconf::Deployment;
 pub use group::GroupTable;
 pub use metrics::{serve_metrics, MetricsServer, TelemetryHub};
 pub use proto::{Envelope, MemberId};
-pub use session::{ListenerHandle, ReconnectPolicy, RemoteClient};
 pub use shard::ShardMap;
 pub use sharded::ShardedDaemon;

@@ -2,17 +2,17 @@
 //! duplication, reordering, bounded delay, crashes, and one-way
 //! partitions, applied to both the inbound and outbound paths.
 //!
-//! [`ChaosTransport`] generalizes [`crate::lossy::LossyTransport`]: it
-//! wraps any [`Transport`] and perturbs traffic according to a
-//! [`ChaosConfig`]. Static perturbations (loss, duplication,
-//! reordering, delay) are rolled from a seeded RNG so a run is
-//! reproducible given the seed; dynamic faults (crash, one-way blocks)
-//! are flipped at runtime through the shared [`ChaosControl`] handle,
-//! which is how the nemesis runner injects a [`ar_core::fault`] plan
-//! into a live ring. Per-message-kind counters distinguish token
-//! traffic from data and membership traffic, so a test can assert e.g.
-//! "the partition dropped tokens" rather than staring at a single
-//! aggregate number.
+//! [`ChaosTransport`] wraps any [`Transport`] and perturbs traffic
+//! according to a [`ChaosConfig`]. Static perturbations (loss,
+//! duplication, reordering, delay) are rolled from a seeded RNG so a
+//! run is reproducible given the seed; dynamic faults (crash, one-way
+//! blocks) are flipped at runtime through the shared [`ChaosControl`]
+//! handle, which is how the nemesis runner injects a
+//! [`ar_core::fault`] plan into a live ring. Per-message-kind counters
+//! distinguish token traffic from data and membership traffic, so a
+//! test can assert e.g. "the partition dropped tokens" rather than
+//! staring at a single aggregate number. Loss alone is
+//! `ChaosConfig::quiet(seed).with_loss(p)`.
 //!
 //! ## Partition fidelity
 //!
@@ -609,6 +609,13 @@ mod tests {
         assert_eq!(got, 20);
         assert_eq!(a.stats().kind(MsgKind::Token).sent, 20);
         assert_eq!(a.stats().total_dropped(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "drop probability")]
+    fn full_loss_rejected() {
+        // A transport that drops everything can never make progress.
+        let _ = ChaosConfig::quiet(1).with_loss(1.0);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Runs one ring participant from a deployment file (see
 //! [`ar_daemon::deployconf`]) and serves local and remote clients,
 //! playing the role of the `spread` daemon binary. Clients connect
-//! through the flow-controlled service tier (`--client-addr` /
-//! `--client-uds`); the per-daemon `client_addr` from the deployment
-//! file still serves the legacy line protocol.
+//! through the flow-controlled service tier on `--client-addr` (TCP)
+//! and/or `--client-uds` (Unix socket); without either the daemon
+//! only takes part in the ring. `--loss` wraps the protocol sockets in
+//! a seeded loss-only [`ar_net::ChaosTransport`] for fault testing.
 //!
 //! ```text
 //! usage: ard [--rings N] [--ring-port-stride P]
@@ -45,7 +46,7 @@ use ar_daemon::{
     serve_metrics, DaemonConfig, DaemonLogConfig, Deployment, ShardedDaemon, TelemetryHub,
 };
 use ar_log::FsyncPolicy;
-use ar_net::{LossyTransport, NetMetrics, UdpTransport};
+use ar_net::{ChaosConfig, ChaosTransport, NetMetrics, UdpTransport};
 use ar_svc::{serve_clients_sharded, SvcConfig, SvcListeners};
 
 const USAGE: &str = "usage: ard [--rings N] [--ring-port-stride P] [--metrics-addr ADDR] \
@@ -308,7 +309,10 @@ fn main() -> ExitCode {
             let (part, transport) = parts[k].take().expect("each shard built once");
             (
                 part,
-                LossyTransport::new(transport, loss, loss_seed ^ k as u64),
+                ChaosTransport::new(
+                    transport,
+                    ChaosConfig::quiet(loss_seed ^ k as u64).with_loss(loss),
+                ),
                 config.clone(),
             )
         })
@@ -319,7 +323,7 @@ fn main() -> ExitCode {
         })
     };
 
-    // The flow-controlled service tier (the new client protocol).
+    // The flow-controlled service tier.
     let svc = if client_addr.is_some() || client_uds.is_some() {
         let mut listeners = SvcListeners::default();
         if let Some(addr) = &client_addr {
@@ -364,33 +368,14 @@ fn main() -> ExitCode {
             }
         }
     } else {
+        println!("ard: no client listener configured (protocol-only daemon)");
         None
     };
-
-    // The legacy line-protocol listener from the deployment file
-    // (attached to shard 0; legacy clients see a single ring).
-    let listener = match entry.client_addr {
-        Some(addr) => match sharded.shard(0).listen(addr) {
-            Ok(l) => {
-                println!("ard: accepting legacy clients on {}", l.local_addr());
-                Some(l)
-            }
-            Err(e) => {
-                eprintln!("ard: cannot listen for clients on {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if svc.is_none() && listener.is_none() {
-        println!("ard: no client listener configured (protocol-only daemon)");
-    }
 
     // Run until interrupted.
     println!("ard: running; press Ctrl-C to stop");
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
-        let _ = &listener;
         let _ = &metrics_server;
         let _ = &svc;
     }

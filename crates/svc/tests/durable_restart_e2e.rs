@@ -14,8 +14,8 @@ use std::net::{TcpListener, UdpSocket};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ar_daemon::{ClientEvent, RemoteClient};
 use ar_log::read_log_dir;
+use ar_svc::{SvcClient, SvcEvent};
 use bytes::Bytes;
 
 fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
@@ -48,9 +48,17 @@ fn pick_ports(udp: usize, tcp: usize) -> (Vec<u16>, Vec<u16>) {
 struct Ard(Child);
 
 impl Ard {
-    fn spawn(conf: &std::path::Path, id: u16, log_dir: &std::path::Path, loss: bool) -> Ard {
+    fn spawn(
+        conf: &std::path::Path,
+        id: u16,
+        log_dir: &std::path::Path,
+        client_addr: &str,
+        loss: bool,
+    ) -> Ard {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_ard"));
-        cmd.arg("--log-dir")
+        cmd.arg("--client-addr")
+            .arg(client_addr)
+            .arg("--log-dir")
             .arg(log_dir)
             .arg("--fsync")
             .arg("every:4");
@@ -78,11 +86,11 @@ impl Drop for Ard {
 
 /// Connects with retries: the daemon binds its client listener a
 /// moment after the process starts.
-fn connect(addr: &str, name: &str) -> RemoteClient {
+fn connect(addr: &str, name: &str) -> SvcClient {
     let addr: std::net::SocketAddr = addr.parse().unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        match RemoteClient::connect(addr, name) {
+        match SvcClient::connect_tcp(addr, name) {
             Ok(c) => return c,
             Err(e) => {
                 assert!(Instant::now() < deadline, "connect {name} to {addr}: {e}");
@@ -94,11 +102,11 @@ fn connect(addr: &str, name: &str) -> RemoteClient {
 
 /// Drains `c`, appending Safe payloads to `stream` and tracking the
 /// latest group size.
-fn drain_into(c: &mut RemoteClient, stream: &mut Vec<Bytes>, members: &mut usize) {
+fn drain_into(c: &mut SvcClient, stream: &mut Vec<Bytes>, members: &mut usize) {
     for ev in c.drain() {
         match ev {
-            ClientEvent::Message { payload, .. } => stream.push(payload),
-            ClientEvent::Membership { members: m, .. } => *members = m.len(),
+            SvcEvent::Deliver { payload, .. } => stream.push(payload),
+            SvcEvent::Membership { members: m, .. } => *members = m.len(),
             _ => {}
         }
     }
@@ -114,10 +122,9 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
     let mut conf = String::from("protocol accelerated\n");
     for i in 0..3 {
         conf.push_str(&format!(
-            "daemon {i} token=127.0.0.1:{} data=127.0.0.1:{} clients=127.0.0.1:{}\n",
+            "daemon {i} token=127.0.0.1:{} data=127.0.0.1:{}\n",
             udp[2 * i],
             udp[2 * i + 1],
-            tcp[i],
         ));
     }
     let conf_path = base.join("ar.conf");
@@ -125,9 +132,12 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
     let log_dir = |i: usize| base.join(format!("d{i}"));
     let client_addr = |i: usize| format!("127.0.0.1:{}", tcp[i]);
 
-    let d0 = Ard::spawn(&conf_path, 0, &log_dir(0), false);
-    let d1 = Ard::spawn(&conf_path, 1, &log_dir(1), true); // seeded loss
-    let d2 = Ard::spawn(&conf_path, 2, &log_dir(2), false);
+    let spawn =
+        |i: usize, loss: bool| Ard::spawn(&conf_path, i as u16, &log_dir(i), &client_addr(i), loss);
+
+    let d0 = spawn(0, false);
+    let d1 = spawn(1, true); // seeded loss
+    let d2 = spawn(2, false);
 
     let mut c0 = connect(&client_addr(0), "c0");
     let mut c1 = connect(&client_addr(1), "c1");
@@ -154,10 +164,11 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
     // Safe traffic from every corner of the ring.
     for k in 0..4 {
         for (c, who) in [(&mut c0, "c0"), (&mut c1, "c1"), (&mut c2, "c2")] {
-            c.multicast(
+            c.publish(
                 &["g"],
                 ar_core::ServiceType::Safe,
                 Bytes::from(format!("{who}-m{k}")),
+                Duration::from_secs(10),
             )
             .unwrap();
         }
@@ -196,12 +207,12 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
     // Restart from disk, then kill -9 again while it is recovering and
     // merging back — the second incarnation may or may not have
     // rejoined yet; either way its disk must only ever grow.
-    let d1b = Ard::spawn(&conf_path, 1, &log_dir(1), true);
+    let d1b = spawn(1, true);
     std::thread::sleep(Duration::from_millis(300));
     d1b.kill9();
 
     // Third incarnation gets to live; the ring heals around it.
-    let _d1c = Ard::spawn(&conf_path, 1, &log_dir(1), true);
+    let _d1c = spawn(1, true);
     let mut c1b = connect(&client_addr(1), "c1b");
     c1b.join("g").unwrap();
     let mut s1b = Vec::new();
@@ -220,10 +231,11 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
     );
 
     // Post-chaos Safe traffic flows end-to-end again.
-    c0.multicast(
+    c0.publish(
         &["g"],
         ar_core::ServiceType::Safe,
         Bytes::from_static(b"post-chaos"),
+        Duration::from_secs(10),
     )
     .unwrap();
     assert!(

@@ -1,7 +1,7 @@
 //! Chaos-harness walkthrough: script a fault plan, run it against a
 //! virtual five-node ring, show the reproducibility digest, then
-//! restart a live daemon under a TCP client and watch the client
-//! reconnect.
+//! restart a live daemon (and its service tier) under a TCP client and
+//! watch the client reconnect.
 //!
 //! ```bash
 //! cargo run --example nemesis_demo [seed]
@@ -10,8 +10,9 @@
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, ServiceType};
-use accelerated_ring::daemon::{spawn_daemon, ClientEvent, ListenerHandle};
+use accelerated_ring::daemon::spawn_daemon;
 use accelerated_ring::net::{LoopbackNet, NemesisPlan, NemesisRunner};
+use accelerated_ring::svc::{serve_clients, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -57,35 +58,44 @@ fn main() {
     let mk = |p: ParticipantId| {
         Participant::new(p, ProtocolConfig::accelerated(), ring, members.clone()).unwrap()
     };
+    let tcp = |addr: &str| SvcListeners {
+        tcp: Some(addr.parse().unwrap()),
+        uds: None,
+    };
     let d0 = spawn_daemon(mk(members[0]), net.endpoint(members[0]));
     let d1 = spawn_daemon(mk(members[1]), net.endpoint(members[1]));
-    let l0 = d0.listen("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr0 = l0.local_addr();
+    let s0 = serve_clients(&d0, tcp("127.0.0.1:0"), SvcConfig::default()).unwrap();
+    let addr0 = s0.tcp_addr().unwrap();
 
-    let mut alice = accelerated_ring::daemon::RemoteClient::connect(addr0, "alice").unwrap();
+    let mut alice = SvcClient::connect_tcp(addr0, "alice").unwrap();
     alice.join("room").unwrap();
     wait(|| {
         alice
             .drain()
             .iter()
-            .any(|ev| matches!(ev, ClientEvent::Membership { members, .. } if members.len() == 1))
+            .any(|ev| matches!(ev, SvcEvent::Membership { members, .. } if members.len() == 1))
     });
     println!("  alice joined 'room' via {addr0}");
 
-    drop(l0);
+    // A crash takes the client's link down with the daemon (a graceful
+    // service-tier stop would evict alice instead): cut the link, let
+    // the server notice, then stop the tier and the daemon.
+    alice.sever();
+    wait(|| s0.stats().connected.get() == 0);
+    s0.shutdown().unwrap();
     d0.shutdown().unwrap();
     net.detach(members[0]);
-    println!("  daemon 0 killed (listener dropped, socket shut)");
+    println!("  daemon 0 killed (link cut, service tier stopped)");
 
     let d0b = spawn_daemon(
         Participant::new_singleton(members[0], ProtocolConfig::accelerated()).unwrap(),
         net.endpoint(members[0]),
     );
-    let _l0b: ListenerHandle = d0b.listen(addr0).unwrap();
+    let s0b = serve_clients(&d0b, tcp(&addr0.to_string()), SvcConfig::default()).unwrap();
     println!("  daemon 0 restarted on the same port as a fresh singleton");
 
     wait(|| {
-        let _ = alice.multicast(
+        let _ = alice.try_publish(
             &["room"],
             ServiceType::Agreed,
             bytes::Bytes::from_static(b"hi"),
@@ -93,14 +103,15 @@ fn main() {
         alice
             .drain()
             .iter()
-            .any(|ev| matches!(ev, ClientEvent::Membership { members, .. } if members.len() == 1))
+            .any(|ev| matches!(ev, SvcEvent::Membership { members, .. } if members.len() == 1))
     });
     println!(
-        "  alice is back in 'room' after {} reconnect attempt(s)",
+        "  alice is back in 'room' after {} reconnect(s)",
         alice.reconnects()
     );
 
     drop(alice);
+    s0b.shutdown().unwrap();
     d0b.shutdown().unwrap();
     d1.shutdown().unwrap();
     println!("  clean shutdown");

@@ -1,15 +1,17 @@
 //! A real UDP deployment on localhost: three daemons with dual UDP
 //! sockets each (token port + data port, per the paper's Section
-//! III-D), remote clients over TCP, and a totally ordered group chat —
-//! the full production stack in one process.
+//! III-D), each fronted by the flow-controlled service tier, remote
+//! clients over TCP, and a totally ordered group chat — the full
+//! production stack in one process.
 //!
 //! Run with: `cargo run --release --example udp_ring`
 
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, RingId, ServiceType};
-use accelerated_ring::daemon::{spawn_daemon, ClientEvent, Deployment, RemoteClient};
+use accelerated_ring::daemon::{spawn_daemon, Deployment};
 use accelerated_ring::net::UdpTransport;
+use accelerated_ring::svc::{serve_clients, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 use bytes::Bytes;
 
 const CONFIG: &str = "\
@@ -17,9 +19,9 @@ protocol accelerated
 personal_window 30
 accelerated_window 20
 
-daemon 0 token=127.0.0.1:7610 data=127.0.0.1:7611 clients=127.0.0.1:0
-daemon 1 token=127.0.0.1:7612 data=127.0.0.1:7613 clients=127.0.0.1:0
-daemon 2 token=127.0.0.1:7614 data=127.0.0.1:7615 clients=127.0.0.1:0
+daemon 0 token=127.0.0.1:7610 data=127.0.0.1:7611
+daemon 1 token=127.0.0.1:7612 data=127.0.0.1:7613
+daemon 2 token=127.0.0.1:7614 data=127.0.0.1:7615
 ";
 
 fn main() {
@@ -28,33 +30,38 @@ fn main() {
     let ring_id = RingId::new(members[0], 1);
 
     // Boot the three daemons (in the real world these are `ard`
-    // processes on three machines).
+    // processes on three machines, started with `--client-addr`).
     let mut daemons = Vec::new();
-    let mut listeners = Vec::new();
+    let mut tiers = Vec::new();
     for entry in deployment.daemons() {
         let transport = UdpTransport::bind(entry.pid, deployment.peer_map())
             .expect("bind UDP sockets (ports 7610-7615 must be free)");
         let part = Participant::new(entry.pid, deployment.protocol, ring_id, members.clone())
             .expect("valid ring");
         let handle = spawn_daemon(part, transport);
-        let listener = handle
-            .listen(entry.client_addr.expect("configured"))
-            .expect("listen for clients");
+        let listeners = SvcListeners {
+            tcp: Some("127.0.0.1:0".parse().unwrap()),
+            uds: None,
+        };
+        let tier =
+            serve_clients(&handle, listeners, SvcConfig::default()).expect("listen for clients");
         println!(
             "daemon {} up: protocol on {}, clients on {}",
             entry.pid,
             entry.addrs.token,
-            listener.local_addr()
+            tier.tcp_addr().unwrap()
         );
         daemons.push(handle);
-        listeners.push(listener);
+        tiers.push(tier);
     }
 
     // Three chat clients, one per daemon, over TCP.
-    let mut clients: Vec<RemoteClient> = listeners
+    let mut clients: Vec<SvcClient> = tiers
         .iter()
         .enumerate()
-        .map(|(i, l)| RemoteClient::connect(l.local_addr(), &format!("user{i}")).expect("connect"))
+        .map(|(i, t)| {
+            SvcClient::connect_tcp(t.tcp_addr().unwrap(), &format!("user{i}")).expect("connect")
+        })
         .collect();
     for c in clients.iter_mut() {
         c.join("chat").expect("join");
@@ -64,9 +71,9 @@ fn main() {
     let deadline = Instant::now() + Duration::from_secs(15);
     let mut sizes = vec![0usize; clients.len()];
     while sizes.iter().any(|&s| s < 3) && Instant::now() < deadline {
-        for (i, c) in clients.iter().enumerate() {
+        for (i, c) in clients.iter_mut().enumerate() {
             for ev in c.drain() {
-                if let ClientEvent::Membership { members, .. } = ev {
+                if let SvcEvent::Membership { members, .. } = ev {
                     sizes[i] = members.len();
                 }
             }
@@ -78,10 +85,11 @@ fn main() {
     // Everyone talks at once.
     for (i, c) in clients.iter_mut().enumerate() {
         for k in 0..3 {
-            c.multicast(
+            c.publish(
                 &["chat"],
                 ServiceType::Agreed,
                 Bytes::from(format!("user{i} says {k}")),
+                Duration::from_secs(5),
             )
             .expect("send");
         }
@@ -91,9 +99,9 @@ fn main() {
     let mut logs: Vec<Vec<String>> = vec![Vec::new(); clients.len()];
     let deadline = Instant::now() + Duration::from_secs(15);
     while logs.iter().any(|l| l.len() < 9) && Instant::now() < deadline {
-        for (i, c) in clients.iter().enumerate() {
+        for (i, c) in clients.iter_mut().enumerate() {
             for ev in c.drain() {
-                if let ClientEvent::Message {
+                if let SvcEvent::Deliver {
                     sender, payload, ..
                 } = ev
                 {
@@ -115,6 +123,7 @@ fn main() {
     );
 
     drop(clients);
+    drop(tiers);
     for d in daemons {
         d.shutdown().expect("clean shutdown");
     }

@@ -245,10 +245,17 @@ fn slow_consumer_is_evicted_without_perturbing_others() {
                 "healthy consumer stalled at {} of {MSGS}",
                 got.len()
             );
-            if let Some(SvcEvent::Deliver { payload, .. }) =
-                healthy.recv(Duration::from_millis(100))
-            {
-                got.push(String::from_utf8(payload.to_vec()).unwrap());
+            match healthy.recv(Duration::from_millis(100)) {
+                Some(SvcEvent::Deliver { payload, .. }) => {
+                    got.push(String::from_utf8(payload.to_vec()).unwrap());
+                }
+                // Either one means the healthy session lost its stream;
+                // fail now with the cause instead of at the deadline.
+                Some(ev @ (SvcEvent::Evicted { .. } | SvcEvent::Reconnected { .. })) => panic!(
+                    "healthy consumer got {ev:?} after {} of {MSGS} deliveries",
+                    got.len()
+                ),
+                _ => {}
             }
         }
         (healthy, got)

@@ -1,19 +1,20 @@
 //! End-to-end test of remote-client recovery: a TCP client survives
-//! its daemon being shut down and restarted on the same port. The
-//! client transparently redials with bounded exponential backoff,
-//! re-runs the handshake, and re-joins its groups; the restarted
-//! daemon (a fresh singleton incarnation) merges back into the ring
-//! through the membership protocol.
+//! its daemon (and the daemon's service tier) being shut down and
+//! restarted on the same port. The client transparently redials with
+//! bounded backoff and presents its resume token; the restarted
+//! daemon has no such session, so the client starts a fresh one and
+//! re-joins its groups. The restarted daemon (a fresh singleton
+//! incarnation) merges back into the ring through the membership
+//! protocol.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
-use accelerated_ring::daemon::{
-    spawn_daemon, spawn_daemon_with, ClientEvent, DaemonConfig, DaemonLogConfig, RemoteClient,
-};
+use accelerated_ring::daemon::{spawn_daemon, spawn_daemon_with, DaemonConfig, DaemonLogConfig};
 use accelerated_ring::log::{read_log_dir, FsyncPolicy};
 use accelerated_ring::net::LoopbackNet;
+use accelerated_ring::svc::{serve_clients, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 use bytes::Bytes;
 
 fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
@@ -25,6 +26,13 @@ fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
         std::thread::sleep(Duration::from_millis(10));
     }
     false
+}
+
+fn tcp_on(addr: SocketAddr) -> SvcListeners {
+    SvcListeners {
+        tcp: Some(addr),
+        uds: None,
+    }
 }
 
 #[test]
@@ -62,12 +70,12 @@ fn restart_roundtrip(durable: bool) {
     let d0 = spawn_daemon_with(mk(members[0]), net.endpoint(members[0]), d0_config());
     let d1 = spawn_daemon(mk(members[1]), net.endpoint(members[1]));
     let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let l0 = d0.listen(any).expect("listen d0");
-    let l1 = d1.listen(any).expect("listen d1");
-    let addr0 = l0.local_addr();
+    let s0 = serve_clients(&d0, tcp_on(any), SvcConfig::default()).expect("serve d0");
+    let s1 = serve_clients(&d1, tcp_on(any), SvcConfig::default()).expect("serve d1");
+    let addr0 = s0.tcp_addr().unwrap();
 
-    let mut alice = RemoteClient::connect(addr0, "alice").expect("connect alice");
-    let mut bob = RemoteClient::connect(l1.local_addr(), "bob").expect("connect bob");
+    let mut alice = SvcClient::connect_tcp(addr0, "alice").expect("connect alice");
+    let mut bob = SvcClient::connect_tcp(s1.tcp_addr().unwrap(), "bob").expect("connect bob");
     alice.join("room").unwrap();
     bob.join("room").unwrap();
     let (mut na, mut nb) = (0, 0);
@@ -75,12 +83,12 @@ fn restart_roundtrip(durable: bool) {
         wait_for(
             || {
                 for ev in alice.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
+                    if let SvcEvent::Membership { members, .. } = ev {
                         na = members.len();
                     }
                 }
                 for ev in bob.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
+                    if let SvcEvent::Membership { members, .. } = ev {
                         nb = members.len();
                     }
                 }
@@ -91,9 +99,18 @@ fn restart_roundtrip(durable: bool) {
         "initial 2-member group"
     );
 
-    // Kill alice's daemon: the listener drop frees the port, the
-    // daemon drains and exits, and the surviving daemon reconfigures.
-    drop(l0);
+    // Kill alice's daemon. A crash takes the link down with it, and a
+    // graceful service-tier stop would instead evict alice (a terminal
+    // event), so cut her socket first and let the server notice.
+    // Then the shutdown frees the port, the daemon drains and exits,
+    // and the surviving daemon reconfigures.
+    assert_eq!(s0.stats().connected.get(), 1, "alice is d0's only client");
+    alice.sever();
+    assert!(
+        wait_for(|| s0.stats().connected.get() == 0, 20),
+        "service tier notices the dead link"
+    );
+    s0.shutdown().expect("clean service-tier shutdown");
     d0.shutdown().expect("clean shutdown");
     net.detach(members[0]);
 
@@ -104,7 +121,7 @@ fn restart_roundtrip(durable: bool) {
         wait_for(
             || {
                 for ev in bob.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
+                    if let SvcEvent::Membership { members, .. } = ev {
                         n = members.len();
                     }
                 }
@@ -120,25 +137,43 @@ fn restart_roundtrip(durable: bool) {
     // flows.
     let part = Participant::new_singleton(members[0], ProtocolConfig::accelerated()).unwrap();
     let d0b = spawn_daemon_with(part, net.endpoint(members[0]), d0_config());
-    let l0b = d0b.listen(addr0).expect("re-listen on the same port");
-    assert_eq!(l0b.local_addr(), addr0);
+    let s0b = serve_clients(&d0b, tcp_on(addr0), SvcConfig::default())
+        .expect("re-listen on the same port");
+    assert_eq!(s0b.tcp_addr(), Some(addr0));
 
-    // Alice's next operation reconnects transparently and re-joins
-    // "room"; the join travels the merged ring, so eventually both
-    // sides see a 2-member group again.
+    // Alice's next pump notices the closed socket, reconnects
+    // transparently and re-joins "room"; the join travels the merged
+    // ring, so eventually both sides see a 2-member group again.
+    let mut reconnected = Vec::new();
+    let mut note_alice = |alice: &mut SvcClient, got: &mut bool| {
+        for ev in alice.drain() {
+            match ev {
+                SvcEvent::Reconnected { resumed } => reconnected.push(resumed),
+                SvcEvent::Deliver {
+                    payload, sender, ..
+                } if payload == Bytes::from_static(b"wb") => {
+                    assert_eq!(sender.client, "bob");
+                    *got = true;
+                }
+                _ => {}
+            }
+        }
+    };
+    let mut got = false;
     let mut n = 0;
     assert!(
         wait_for(
             || {
-                // Reconnect happens lazily on an operation; poke until
-                // the socket is re-established and the ring re-merges.
-                let _ = alice.multicast(
+                // Reconnect happens lazily on a pump; poke until the
+                // socket is re-established and the ring re-merges.
+                let _ = alice.try_publish(
                     &["room"],
                     ServiceType::Agreed,
                     Bytes::from_static(b"are-you-there"),
                 );
+                note_alice(&mut alice, &mut got);
                 for ev in bob.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
+                    if let SvcEvent::Membership { members, .. } = ev {
                         n = members.len();
                     }
                 }
@@ -151,34 +186,34 @@ fn restart_roundtrip(durable: bool) {
     assert!(alice.reconnects() >= 1, "client redialled");
 
     // Traffic flows end-to-end in both directions again.
-    bob.multicast(&["room"], ServiceType::Agreed, Bytes::from_static(b"wb"))
-        .unwrap();
-    let mut got = false;
+    bob.publish(
+        &["room"],
+        ServiceType::Agreed,
+        Bytes::from_static(b"wb"),
+        Duration::from_secs(5),
+    )
+    .unwrap();
     assert!(
         wait_for(
             || {
-                for ev in alice.drain() {
-                    if let ClientEvent::Message {
-                        payload, sender, ..
-                    } = ev
-                    {
-                        if payload == Bytes::from_static(b"wb") {
-                            assert_eq!(sender.client, "bob");
-                            got = true;
-                        }
-                    }
-                }
+                note_alice(&mut alice, &mut got);
                 got
             },
             20
         ),
         "post-restart delivery to the reconnected client"
     );
+    // The restarted daemon never knew alice's session, so every
+    // reconnect started a fresh one.
+    assert!(
+        !reconnected.is_empty() && reconnected.iter().all(|&resumed| !resumed),
+        "alice sees Reconnected {{ resumed: false }} (got {reconnected:?})"
+    );
 
     drop(alice);
     drop(bob);
-    drop(l0b);
-    drop(l1);
+    s0b.shutdown().expect("clean service-tier shutdown");
+    s1.shutdown().expect("clean service-tier shutdown");
     d0b.shutdown().expect("clean shutdown");
     d1.shutdown().expect("clean shutdown");
 
