@@ -143,6 +143,12 @@ impl Connectivity {
         self.crashed[i]
     }
 
+    /// The partition component host `i` sits in (0 for every host when
+    /// no partition is in force).
+    pub fn component_of(&self, i: usize) -> u8 {
+        self.component_of[i]
+    }
+
     /// True if a frame from `from` can reach `to`.
     pub fn can_reach(&self, from: usize, to: usize) -> bool {
         !self.crashed[from] && !self.crashed[to] && self.component_of[from] == self.component_of[to]

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use ar_net::replay::{
-    replay_schedule, Expectation, Schedule, ScheduleError, Step, Submission, World, TIMER_KINDS,
+    replay_schedule, Expectation, Schedule, ScheduleError, Step, Submission, World,
 };
 
 use crate::model::ModelChecker;
@@ -695,10 +695,6 @@ pub fn report_to_json(cfg: &ExploreConfig, report: &ExploreReport) -> String {
     w.end_object();
     w.finish()
 }
-
-/// The timer kinds the explorer can fire, re-exported so callers need
-/// not depend on `ar-net` directly for the list.
-pub const EXPLORABLE_TIMERS: [ar_core::TimerKind; 5] = TIMER_KINDS;
 
 #[cfg(test)]
 mod tests {

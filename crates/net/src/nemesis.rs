@@ -4,14 +4,19 @@
 //!
 //! Two modes share the plan format:
 //!
-//! * [`NemesisRunner`] — a deterministic, single-threaded harness over
-//!   a **virtual clock**. It owns the [`Participant`]s directly, routes
-//!   their messages through a seeded lossy network governed by the
-//!   plan's [`Connectivity`], fires protocol timers at exact virtual
-//!   deadlines, and feeds every delivery into an [`EvsChecker`] and
-//!   every token into a [`TokenRuleMonitor`]. Given the same plan and
-//!   seed, a run is **bit-identical**: the [`NemesisOutcome::digest`]
-//!   can be compared across repeats.
+//! * [`NemesisRunner`] — a deterministic harness over a **virtual
+//!   clock**: a timed, seeded policy over one [`World`], which owns the
+//!   [`Participant`]s, the messages in flight, the armed timers, the
+//!   plan's [`Connectivity`] and the oracles, and applies the one
+//!   crash/partition rule of [`crate::replay`]. The runner only decides
+//!   *when*: a seeded RNG gives each new message its loss and arrival
+//!   time, armed timers get deadlines, plan events become world fault
+//!   operations. Given the same plan and seed, a run is
+//!   **bit-identical**: the [`NemesisOutcome::digest`] can be compared
+//!   across repeats. What the world must not hold (the explorer clones
+//!   it per branch) stays here, fed by the world's deliveries and
+//!   configuration changes: durable logs with their Safe-delivery
+//!   fsync gate, adaptive timeouts, flight recorders, and the digest.
 //! * live mode — a real multi-threaded ring of daemons wrapped in
 //!   [`crate::chaos::ChaosTransport`]s; [`apply_connectivity`]
 //!   translates the same plan's connectivity matrix onto the
@@ -24,25 +29,24 @@
 //! `to_schedule`/`from_schedule`), so one fault scenario can drive all
 //! three harnesses.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ar_core::checker::{DurabilityChecker, EvsChecker, SendSplitChecker, TokenRuleMonitor};
+use ar_core::checker::DurabilityChecker;
 use ar_core::fault::{Connectivity, FaultEvent};
 use ar_core::{
-    Action, AdaptiveConfig, AdaptiveTimeouts, ConfigChange, Delivery, Message, Participant,
-    ParticipantId, ProtocolConfig, RingId, ServiceType, TimerKind,
+    AdaptiveConfig, AdaptiveTimeouts, ConfigChange, Delivery, Message, Participant, ParticipantId,
+    ProtocolConfig, RingId, ServiceType, TimerKind,
 };
 use ar_log::{DeliveryRecord, FsyncPolicy, LogConfig, LogRecord, SegmentedLog};
 use ar_telemetry::FlightRecorder;
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::chaos::ChaosControl;
+use crate::replay::{kind_idx, Effect, ScheduleError, Step, World};
 
 /// A crash/restart/partition/heal schedule, shared with the simulator.
 pub use ar_core::fault::FaultSchedule as NemesisPlan;
@@ -68,31 +72,36 @@ pub fn apply_connectivity(controls: &[ChaosControl], conn: &Connectivity) {
     }
 }
 
-const TIMER_KINDS: [TimerKind; 5] = [
-    TimerKind::TokenLoss,
-    TimerKind::TokenRetransmit,
-    TimerKind::Join,
-    TimerKind::ConsensusTimeout,
-    TimerKind::CommitTimeout,
-];
+/// One operation the runner applies to its [`World`]. Every change to
+/// the world goes through [`NemesisRunner::apply`], so a run is exactly
+/// the sequence of these it applied.
+#[derive(Debug)]
+enum Op {
+    Submit(usize, Vec<u8>, ServiceType),
+    Start(usize),
+    Step(Step),
+    Fault(FaultEvent),
+}
 
-fn kind_idx(kind: TimerKind) -> usize {
-    TIMER_KINDS
-        .iter()
-        .position(|&k| k == kind)
-        .expect("known kind")
+impl Op {
+    fn apply(&self, world: &mut World) -> Result<(), ScheduleError> {
+        let host = |h: usize| u16::try_from(h).unwrap_or(u16::MAX);
+        match self {
+            Op::Submit(h, payload, service) => world.submit(host(*h), payload, *service),
+            Op::Start(h) => world.start(host(*h)),
+            Op::Step(step) => world.apply_step(step),
+            Op::Fault(ev) => world.apply_fault(ev),
+        }
+    }
 }
 
 #[derive(Debug)]
 enum EvKind {
-    /// A message arrives at host `to`.
-    Arrive { to: usize, msg: Message },
-    /// A protocol timer fires at `host` (if `gen` is still current).
-    Timer {
-        host: usize,
-        kind: TimerKind,
-        gen: u64,
-    },
+    /// In-flight message `msg` arrives (if a fault has not cut it).
+    Arrive { msg: u64 },
+    /// A protocol timer fires at `host` (if this event is still the
+    /// latest deadline set for it).
+    Timer { host: usize, kind: TimerKind },
     /// The `i`-th plan event takes effect.
     Fault(usize),
     /// A scheduled application submission at `host`.
@@ -103,30 +112,6 @@ enum EvKind {
     },
     /// A scheduled change of `host`'s marginal-link loss probability.
     LossChange { host: usize, prob: f64 },
-}
-
-#[derive(Debug)]
-struct Ev {
-    at: u64,
-    id: u64,
-    kind: EvKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.id) == (other.at, other.id)
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.id).cmp(&(other.at, other.id))
-    }
 }
 
 /// What a [`NemesisRunner`] run produced.
@@ -198,30 +183,18 @@ impl NemesisOutcome {
     /// Panics with a readable report — including each host's recent
     /// protocol events — unless the run converged with no violations.
     pub fn assert_clean(&self) {
-        assert!(
-            self.evs_violations.is_empty(),
-            "EVS violations: {:#?}\n{}",
-            self.evs_violations,
-            self.flight_tail(10)
-        );
-        assert!(
-            self.token_violations.is_empty(),
-            "token rule violations: {:#?}\n{}",
-            self.token_violations,
-            self.flight_tail(10)
-        );
-        assert!(
-            self.split_violations.is_empty(),
-            "send-split violations: {:#?}\n{}",
-            self.split_violations,
-            self.flight_tail(10)
-        );
-        assert!(
-            self.durability_violations.is_empty(),
-            "durability violations: {:#?}\n{}",
-            self.durability_violations,
-            self.flight_tail(10)
-        );
+        for (what, v) in [
+            ("EVS", &self.evs_violations),
+            ("token rule", &self.token_violations),
+            ("send-split", &self.split_violations),
+            ("durability", &self.durability_violations),
+        ] {
+            assert!(
+                v.is_empty(),
+                "{what} violations: {v:#?}\n{}",
+                self.flight_tail(10)
+            );
+        }
         assert!(
             self.converged,
             "ring did not converge: final rings {:?}, survivors {:?}\n{}",
@@ -235,17 +208,15 @@ impl NemesisOutcome {
 /// Deterministic single-threaded nemesis harness (see module docs).
 #[derive(Debug)]
 pub struct NemesisRunner {
-    n: usize,
-    protocol: ProtocolConfig,
-    parts: Vec<Participant>,
+    world: World,
     clock: u64,
     next_id: u64,
-    queue: BinaryHeap<Reverse<Ev>>,
-    /// Per-host, per-kind (deadline, generation); a popped timer event
-    /// fires only if its generation is still current.
-    timers: Vec<[Option<(u64, u64)>; 5]>,
-    timer_gen: u64,
-    conn: Connectivity,
+    /// Pending events keyed by (virtual time, scheduling order).
+    queue: BTreeMap<(u64, u64), EvKind>,
+    /// Per-host, per-kind event id of the latest timer deadline; a
+    /// popped timer event fires only if it is still the latest and the
+    /// world still has the timer armed.
+    timer_event: Vec<[u64; 5]>,
     plan: NemesisPlan,
     rng: StdRng,
     drop_prob: f64,
@@ -261,9 +232,6 @@ pub struct NemesisRunner {
     /// adaptive rotation measurement.
     last_token_arrival: Vec<Option<u64>>,
     link_latency: u64,
-    checker: EvsChecker,
-    monitor: TokenRuleMonitor,
-    split: SendSplitChecker,
     durability: DurabilityChecker,
     /// Per-host durable logs (None until
     /// [`enable_durable_logs`](NemesisRunner::enable_durable_logs)).
@@ -284,6 +252,9 @@ pub struct NemesisRunner {
     /// Per-host flight recorders (attached as participant observers;
     /// re-attached across restarts).
     recorders: Vec<Arc<FlightRecorder>>,
+    /// Every operation applied to the world, in order.
+    #[cfg(test)]
+    applied: Vec<Op>,
 }
 
 /// Events retained per host by the harness's flight recorders.
@@ -309,8 +280,8 @@ impl NemesisRunner {
     ///
     /// # Panics
     ///
-    /// Panics if the protocol configuration is invalid or `drop_prob`
-    /// is outside `[0, 1)`.
+    /// Panics if `n` is zero, the protocol configuration is invalid, or
+    /// `drop_prob` is outside `[0, 1)`.
     pub fn new(
         n: u16,
         protocol: ProtocolConfig,
@@ -322,31 +293,20 @@ impl NemesisRunner {
             (0.0..1.0).contains(&drop_prob),
             "drop probability must be in [0, 1)"
         );
-        let members: Vec<ParticipantId> = (0..n).map(ParticipantId::new).collect();
-        let ring_id = RingId::new(members[0], 1);
+        let mut world = World::unstarted(n, &[], protocol).expect("a ring of at least one host");
+        world.trace_effects();
         let recorders: Vec<Arc<FlightRecorder>> = (0..n)
             .map(|_| FlightRecorder::shared(FLIGHT_CAPACITY))
             .collect();
-        let parts: Vec<Participant> = members
-            .iter()
-            .zip(&recorders)
-            .map(|(&p, fr)| {
-                let mut part =
-                    Participant::new(p, protocol, ring_id, members.clone()).expect("valid ring");
-                part.set_observer(fr.clone());
-                part
-            })
-            .collect();
+        for (i, fr) in recorders.iter().enumerate() {
+            world.participant_mut(i as u16).set_observer(fr.clone());
+        }
         let mut runner = NemesisRunner {
-            n: n as usize,
-            protocol,
-            parts,
+            world,
             clock: 0,
             next_id: 0,
-            queue: BinaryHeap::new(),
-            timers: vec![[None; 5]; n as usize],
-            timer_gen: 0,
-            conn: Connectivity::full(n as usize),
+            queue: BTreeMap::new(),
+            timer_event: vec![[u64::MAX; 5]; n as usize],
             rng: StdRng::seed_from_u64(seed),
             drop_prob,
             host_loss: vec![0.0; n as usize],
@@ -356,9 +316,6 @@ impl NemesisRunner {
             // 50µs per hop: fast-datacenter-like, far below the 50ms
             // token-loss timeout so healthy rotations never time out.
             link_latency: 50_000,
-            checker: EvsChecker::new(n as usize),
-            monitor: TokenRuleMonitor::new(),
-            split: SendSplitChecker::new(Some(protocol.accelerated_window)),
             durability: DurabilityChecker::new(),
             durable: (0..n).map(|_| None).collect(),
             durable_cfg: None,
@@ -370,6 +327,8 @@ impl NemesisRunner {
             pending_submits: 0,
             recorders,
             plan,
+            #[cfg(test)]
+            applied: Vec::new(),
         };
         for i in 0..runner.plan.events().len() {
             let at = runner.plan.events()[i].0.as_nanos() as u64;
@@ -378,21 +337,32 @@ impl NemesisRunner {
         runner
     }
 
-    fn push_event(&mut self, at: u64, kind: EvKind) {
+    fn hosts(&self) -> usize {
+        self.world.hosts() as usize
+    }
+
+    fn push_event(&mut self, at: u64, kind: EvKind) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.queue.push(Reverse(Ev { at, id, kind }));
+        self.queue.insert((at, id), kind);
+        id
+    }
+
+    /// Hands `host`'s participant the virtual time before it acts, so
+    /// its flight events carry virtual timestamps.
+    fn observe_now(&mut self, host: usize) {
+        self.world
+            .participant_mut(host as u16)
+            .observe_now(self.clock);
     }
 
     /// Submits a payload for ordering at host `i` (tracked for the
     /// self-delivery check).
     pub fn submit(&mut self, i: usize, payload: &[u8], service: ServiceType) {
-        self.checker.on_submit(i, payload);
         self.expected.push((payload.to_vec(), self.clock, i));
-        self.parts[i].observe_now(self.clock);
-        self.parts[i]
-            .submit(Bytes::from(payload.to_vec()), service)
-            .expect("nemesis workloads fit the send queue");
+        self.observe_now(i);
+        self.apply(Op::Submit(i, payload.to_vec(), service))
+            .expect("submitting host is in range");
     }
 
     /// Schedules a submission at host `i` for virtual time `at` — the
@@ -412,10 +382,9 @@ impl NemesisRunner {
 
     /// Starts every participant.
     pub fn start(&mut self) {
-        for i in 0..self.n {
-            self.parts[i].observe_now(self.clock);
-            let actions = self.parts[i].start();
-            self.apply(i, actions);
+        for i in 0..self.hosts() {
+            self.observe_now(i);
+            self.apply(Op::Start(i)).expect("host in range");
         }
     }
 
@@ -427,7 +396,7 @@ impl NemesisRunner {
     /// Host `i`'s participant (for end-of-run inspection: stats,
     /// timeouts, effective window, quarantine state).
     pub fn participant(&self, i: usize) -> &Participant {
-        &self.parts[i]
+        self.world.participant(i as u16)
     }
 
     /// Sets host `i`'s marginal-link loss probability immediately.
@@ -466,8 +435,8 @@ impl NemesisRunner {
     /// Panics if the policy is invalid against the hosts' current
     /// timeout base.
     pub fn enable_adaptive(&mut self, policy: AdaptiveConfig) {
-        for i in 0..self.n {
-            let base = *self.parts[i].timeouts();
+        for i in 0..self.hosts() {
+            let base = *self.participant(i).timeouts();
             self.adaptive[i] =
                 Some(AdaptiveTimeouts::new(base, policy).expect("valid adaptive policy"));
         }
@@ -493,23 +462,77 @@ impl NemesisRunner {
         gate_safe: bool,
     ) {
         let base = base.into();
-        for i in 0..self.n {
-            let cfg = LogConfig::new(host_log_dir(&base, i)).with_fsync(fsync);
-            let (log, _) = SegmentedLog::open(cfg).expect("open nemesis durable log");
-            self.durable[i] = Some(HostDurable {
-                log,
-                gate_safe,
-                held: VecDeque::new(),
-            });
+        for i in 0..self.hosts() {
+            self.durable[i] = Some(open_host_durable(&base, i, fsync, gate_safe));
         }
         self.durable_cfg = Some((base, fsync, gate_safe));
     }
 
-    /// Surfaces one delivery at `host`: feeds the checkers and appends
-    /// to the in-memory delivery log.
+    /// Applies one operation to the world, then consumes what it did in
+    /// order: new messages get a loss draw and an arrival time, armed
+    /// timers a deadline, deliveries and configuration changes go
+    /// through the durable-log gate into the per-host logs. Keeping the
+    /// world's send order keeps the RNG draw sequence.
+    fn apply(&mut self, op: Op) -> Result<(), ScheduleError> {
+        self.record(op)?;
+        for effect in self.world.take_effects() {
+            match effect {
+                Effect::Sent { id, from, to } => self.route(id, from.into(), to.into()),
+                Effect::Unreachable => self.dropped += 1,
+                Effect::Armed { host, kind } => self.arm(host.into(), kind),
+                Effect::Delivered { host, delivery } => self.deliver(host.into(), delivery),
+                Effect::Config { host, change } => self.config_change(host.into(), change),
+            }
+        }
+        // Bounded gate latency: anything withheld by this operation is
+        // forced durable and surfaced before the harness moves on (one
+        // fsync per operation, whatever the policy).
+        for host in 0..self.hosts() {
+            self.release_held(host);
+        }
+        Ok(())
+    }
+
+    /// Applies `op` to the world, leaving its effects for the caller
+    /// (tests also keep the op, to replay the run on a fresh world).
+    fn record(&mut self, op: Op) -> Result<(), ScheduleError> {
+        op.apply(&mut self.world)?;
+        #[cfg(test)]
+        self.applied.push(op);
+        Ok(())
+    }
+
+    /// Decides a fresh message's fate: lost (dropped from the world
+    /// now) or delivered after the link latency plus jitter.
+    fn route(&mut self, id: u64, from: usize, to: usize) {
+        let loss = self
+            .drop_prob
+            .max(self.host_loss[from])
+            .max(self.host_loss[to]);
+        if loss > 0.0 && self.rng.gen::<f64>() < loss {
+            self.dropped += 1;
+            self.record(Op::Step(Step::Drop { msg: id }))
+                .expect("a fresh message is in flight");
+            return;
+        }
+        // Small deterministic per-copy jitter keeps arrivals from
+        // different senders interleaved rather than lockstep.
+        let jitter = self.rng.gen_range(0..self.link_latency / 10 + 1);
+        let at = self.clock + self.link_latency + jitter;
+        self.push_event(at, EvKind::Arrive { msg: id });
+    }
+
+    /// Gives `host`'s freshly armed `kind` timer its deadline,
+    /// superseding any earlier one.
+    fn arm(&mut self, host: usize, kind: TimerKind) {
+        let at = self.clock + self.timer_duration(host, kind);
+        self.timer_event[host][kind_idx(kind)] = self.push_event(at, EvKind::Timer { host, kind });
+    }
+
+    /// Surfaces one delivery at `host`: feeds the durability checker
+    /// and appends to the in-memory delivery log.
     fn surface(&mut self, host: usize, d: Delivery) {
         self.durability.on_safe_delivered(host, &d);
-        self.checker.on_delivery(host, &d);
         self.logs[host].push(d);
     }
 
@@ -541,6 +564,24 @@ impl NemesisRunner {
         self.surface(host, d);
     }
 
+    fn config_change(&mut self, host: usize, c: ConfigChange) {
+        // EVS: deliveries belong to the configuration they were ordered
+        // in, so anything withheld must surface before the view change
+        // does.
+        self.release_held(host);
+        if c.kind == ar_core::ConfigChangeKind::Regular {
+            if let Some(dur) = self.durable[host].as_mut() {
+                dur.log
+                    .append(&LogRecord::Ring {
+                        ring: c.ring_id,
+                        members: c.members.clone(),
+                    })
+                    .expect("nemesis durable log append");
+            }
+        }
+        self.configs[host].push(c);
+    }
+
     /// Forces `host`'s log to disk and surfaces everything withheld.
     fn release_held(&mut self, host: usize) {
         let drained = match self.durable[host].as_mut() {
@@ -555,95 +596,8 @@ impl NemesisRunner {
         }
     }
 
-    fn route(&mut self, from: usize, to: usize, msg: Message) {
-        let loss = self
-            .drop_prob
-            .max(self.host_loss[from])
-            .max(self.host_loss[to]);
-        if !self.conn.can_reach(from, to) || (loss > 0.0 && self.rng.gen::<f64>() < loss) {
-            self.dropped += 1;
-            return;
-        }
-        // Small deterministic per-copy jitter keeps arrivals from
-        // different senders interleaved rather than lockstep.
-        let jitter = self.rng.gen_range(0..self.link_latency / 10 + 1);
-        let at = self.clock + self.link_latency + jitter;
-        self.push_event(at, EvKind::Arrive { to, msg });
-    }
-
-    fn apply(&mut self, from: usize, actions: Vec<Action>) {
-        self.split
-            .on_actions(ParticipantId::new(from as u16), &actions);
-        for action in actions {
-            match action {
-                Action::SendToken { to, token } => {
-                    self.monitor.on_token(&token);
-                    self.route(from, to.as_u16() as usize, Message::Token(token));
-                }
-                Action::SendCommit { to, token } => {
-                    self.route(from, to.as_u16() as usize, Message::Commit(token));
-                }
-                Action::Multicast(m) => {
-                    for to in 0..self.n {
-                        if to != from {
-                            self.route(from, to, Message::Data(m.clone()));
-                        }
-                    }
-                }
-                Action::MulticastJoin(j) => {
-                    for to in 0..self.n {
-                        if to != from {
-                            self.route(from, to, Message::Join(j.clone()));
-                        }
-                    }
-                }
-                Action::Deliver(d) => self.deliver(from, d),
-                Action::DeliverConfigChange(c) => {
-                    // EVS: deliveries belong to the configuration they
-                    // were ordered in, so anything withheld must
-                    // surface before the view change does.
-                    self.release_held(from);
-                    if c.kind == ar_core::ConfigChangeKind::Regular {
-                        if let Some(dur) = self.durable[from].as_mut() {
-                            dur.log
-                                .append(&LogRecord::Ring {
-                                    ring: c.ring_id,
-                                    members: c.members.clone(),
-                                })
-                                .expect("nemesis durable log append");
-                        }
-                    }
-                    self.checker.on_config(from, &c);
-                    self.configs[from].push(c);
-                }
-                Action::SetTimer(kind) => {
-                    let nanos = self.timer_duration(from, kind);
-                    let at = self.clock + nanos;
-                    self.timer_gen += 1;
-                    let gen = self.timer_gen;
-                    self.timers[from][kind_idx(kind)] = Some((at, gen));
-                    self.push_event(
-                        at,
-                        EvKind::Timer {
-                            host: from,
-                            kind,
-                            gen,
-                        },
-                    );
-                }
-                Action::CancelTimer(kind) => {
-                    self.timers[from][kind_idx(kind)] = None;
-                }
-            }
-        }
-        // Bounded gate latency: anything withheld in this batch is
-        // forced durable and surfaced before the harness moves on (one
-        // fsync per batch, whatever the policy).
-        self.release_held(from);
-    }
-
     fn timer_duration(&self, host: usize, kind: TimerKind) -> u64 {
-        let t = self.parts[host].timeouts();
+        let t = self.participant(host).timeouts();
         match kind {
             TimerKind::TokenLoss => t.token_loss,
             TimerKind::TokenRetransmit => t.token_retransmit,
@@ -655,56 +609,39 @@ impl NemesisRunner {
 
     fn handle_fault(&mut self, idx: usize) {
         let (_, ev) = self.plan.events()[idx].clone();
-        match &ev {
+        self.apply(Op::Fault(ev.clone()))
+            .expect("plan hosts are in range");
+        match ev {
             FaultEvent::Crash { host } => {
-                // Dead hosts keep their logs; their pending timers are
-                // invalidated so nothing fires while down.
-                self.timers[*host] = [None; 5];
                 // kill -9: the in-memory log handle dies with the
                 // process. Buffered (never-flushed) records are lost;
-                // whatever reached the OS survives on disk. Withheld
-                // Safe deliveries die unsurfaced — which is exactly
-                // what the gate is for.
-                self.durable[*host] = None;
+                // whatever reached the OS survives on disk.
+                self.durable[host] = None;
             }
             FaultEvent::Restart { host } => {
-                // A restarted host is a fresh incarnation: empty
-                // protocol state, singleton ring, rejoin via membership.
-                let pid = ParticipantId::new(*host as u16);
-                let mut fresh =
-                    Participant::new_singleton(pid, self.protocol).expect("valid config");
-                // The recorder survives the restart: its tail spans
-                // incarnations, which is exactly what a post-mortem
-                // wants to see.
-                fresh.set_observer(self.recorders[*host].clone());
-                self.parts[*host] = fresh;
-                self.checker.on_restart(*host);
-                self.incarnation[*host] = self.clock;
+                self.incarnation[host] = self.clock;
                 // The new incarnation measures rotations from scratch.
-                self.last_token_arrival[*host] = None;
-                if let Some(ctl) = self.adaptive[*host].as_mut() {
+                self.last_token_arrival[host] = None;
+                if let Some(ctl) = self.adaptive[host].as_mut() {
                     ctl.reset();
                 }
                 // Reopen the durable log from disk: recovery truncates
                 // any torn tail and removes everything past the first
                 // corruption, so nothing resurrects.
                 if let Some((base, fsync, gate_safe)) = &self.durable_cfg {
-                    let cfg = LogConfig::new(host_log_dir(base, *host)).with_fsync(*fsync);
-                    let (log, _) = SegmentedLog::open(cfg).expect("reopen nemesis durable log");
-                    self.durable[*host] = Some(HostDurable {
-                        log,
-                        gate_safe: *gate_safe,
-                        held: VecDeque::new(),
-                    });
+                    self.durable[host] = Some(open_host_durable(base, host, *fsync, *gate_safe));
                 }
+                // The recorder survives the restart: its tail spans
+                // incarnations, which is exactly what a post-mortem
+                // wants to see.
+                let recorder = self.recorders[host].clone();
+                self.world
+                    .participant_mut(host as u16)
+                    .set_observer(recorder);
+                self.observe_now(host);
+                self.apply(Op::Start(host)).expect("host in range");
             }
             FaultEvent::Partition { .. } | FaultEvent::Heal => {}
-        }
-        self.conn.apply(&ev);
-        if let FaultEvent::Restart { host } = ev {
-            self.parts[host].observe_now(self.clock);
-            let actions = self.parts[host].start();
-            self.apply(host, actions);
         }
     }
 
@@ -715,43 +652,39 @@ impl NemesisRunner {
         // Converged-state detection is re-checked at most once per
         // virtual millisecond to keep the hot loop cheap.
         let mut next_check = 0u64;
-        loop {
-            // Peek, don't pop: an event beyond the limit stays queued,
-            // so a later `run` with a larger limit resumes exactly where
-            // this one stopped (phase-based measurements rely on it).
-            match self.queue.peek() {
-                Some(Reverse(ev)) if ev.at <= limit => {}
-                _ => break,
-            }
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                break;
-            };
-            self.clock = self.clock.max(ev.at);
-            match ev.kind {
-                EvKind::Arrive { to, msg } => {
-                    if self.conn.is_crashed(to) {
+        // An event beyond the limit stays queued, so a later `run` with a
+        // larger limit resumes exactly where this one stopped
+        // (phase-based measurements rely on it).
+        while let Some(next) = self.queue.first_entry().filter(|e| e.key().0 <= limit) {
+            let ((at, id), kind) = next.remove_entry();
+            self.clock = self.clock.max(at);
+            match kind {
+                EvKind::Arrive { msg } => {
+                    // Gone if a crash or a partition cut it in flight.
+                    let Some(m) = self.world.message(msg) else {
                         self.dropped += 1;
                         continue;
-                    }
-                    if matches!(msg, Message::Token(_)) {
+                    };
+                    let to = m.to as usize;
+                    if matches!(m.msg, Message::Token(_)) {
                         self.feed_adaptive(to);
                     }
-                    self.parts[to].observe_now(self.clock);
-                    let actions = self.parts[to].handle_message(msg);
-                    self.apply(to, actions);
+                    self.observe_now(to);
+                    self.apply(Op::Step(Step::Deliver { msg }))
+                        .expect("message is in flight");
                 }
-                EvKind::Timer { host, kind, gen } => {
-                    if self.conn.is_crashed(host) {
+                EvKind::Timer { host, kind } => {
+                    let host16 = host as u16;
+                    if self.world.is_failed(host16) {
                         continue;
                     }
-                    match self.timers[host][kind_idx(kind)] {
-                        Some((_, g)) if g == gen => {
-                            self.timers[host][kind_idx(kind)] = None;
-                            self.parts[host].observe_now(self.clock);
-                            let actions = self.parts[host].handle_timer(kind);
-                            self.apply(host, actions);
-                        }
-                        _ => {} // superseded or cancelled
+                    // Superseded or cancelled timers do not fire.
+                    if self.timer_event[host][kind_idx(kind)] == id
+                        && self.world.is_armed(host16, kind)
+                    {
+                        self.observe_now(host);
+                        self.apply(Op::Step(Step::Timer { host: host16, kind }))
+                            .expect("timer is armed");
                     }
                 }
                 EvKind::Fault(idx) => self.handle_fault(idx),
@@ -765,13 +698,8 @@ impl NemesisRunner {
                     service,
                 } => {
                     self.pending_submits -= 1;
-                    if !self.conn.is_crashed(host) {
-                        self.checker.on_submit(host, &payload);
-                        self.expected.push((payload.clone(), self.clock, host));
-                        self.parts[host].observe_now(self.clock);
-                        self.parts[host]
-                            .submit(Bytes::from(payload), service)
-                            .expect("nemesis workloads fit the send queue");
+                    if !self.world.is_failed(host as u16) {
+                        self.submit(host, &payload, service);
                     }
                 }
             }
@@ -792,8 +720,9 @@ impl NemesisRunner {
         if let Some(ctl) = self.adaptive[to].as_mut() {
             if let Some(prev) = self.last_token_arrival[to] {
                 if ctl.record_rotation(self.clock - prev) {
-                    self.parts[to].observe_now(self.clock);
-                    let _ = self.parts[to].adapt_timeouts(ctl.current());
+                    let p = self.world.participant_mut(to as u16);
+                    p.observe_now(self.clock);
+                    let _ = p.adapt_timeouts(ctl.current());
                 }
             }
             self.last_token_arrival[to] = Some(self.clock);
@@ -811,7 +740,9 @@ impl NemesisRunner {
     }
 
     fn survivors(&self) -> Vec<usize> {
-        (0..self.n).filter(|&i| !self.conn.is_crashed(i)).collect()
+        (0..self.hosts())
+            .filter(|&i| !self.world.is_failed(i as u16))
+            .collect()
     }
 
     fn is_converged(&self) -> bool {
@@ -819,19 +750,17 @@ impl NemesisRunner {
         let Some(&first) = survivors.first() else {
             return false;
         };
-        let want = self.parts[first].ring().id();
+        let want = self.participant(first).ring().id();
         let members: Vec<ParticipantId> = survivors
             .iter()
             .map(|&i| ParticipantId::new(i as u16))
             .collect();
-        let all_partitions_healed = survivors
-            .iter()
-            .all(|&i| survivors.iter().all(|&j| self.conn.can_reach(i, j)));
+        let component = |i: usize| self.world.component_of(i as u16);
+        let all_partitions_healed = survivors.iter().all(|&i| component(i) == component(first));
         all_partitions_healed
             && survivors.iter().all(|&i| {
-                self.parts[i].is_operational()
-                    && self.parts[i].ring().id() == want
-                    && self.parts[i].ring().members() == members
+                let p = self.participant(i);
+                p.is_operational() && p.ring().id() == want && p.ring().members() == members
             })
             && survivors
                 .iter()
@@ -845,7 +774,7 @@ impl NemesisRunner {
     /// that ring, and submissions from a crashed incarnation die with
     /// it — so self-delivery is the strongest liveness guarantee the
     /// harness can demand. Cross-host consistency of whatever *was*
-    /// delivered is enforced separately by the [`EvsChecker`].
+    /// delivered is enforced separately by the world's EVS oracle.
     fn delivered_everything_expected(&self, i: usize) -> bool {
         self.expected.iter().all(|(payload, at, submitter)| {
             *submitter != i
@@ -857,28 +786,17 @@ impl NemesisRunner {
     fn outcome(&mut self) -> NemesisOutcome {
         let survivors = self.survivors();
         let converged = self.is_converged();
-        let final_rings: Vec<Option<RingId>> = (0..self.n)
+        let final_rings: Vec<Option<RingId>> = (0..self.hosts())
             .map(|i| {
-                if self.conn.is_crashed(i) {
+                if self.world.is_failed(i as u16) {
                     None
                 } else {
-                    Some(self.parts[i].ring().id())
+                    Some(self.participant(i).ring().id())
                 }
             })
             .collect();
-        let evs_violations = match self.checker.check() {
-            Ok(()) => Vec::new(),
-            Err(v) => v,
-        };
-        let token_violations = match self.monitor.check() {
-            Ok(()) => Vec::new(),
-            Err(v) => v,
-        };
-        let split_violations = match self.split.check() {
-            Ok(()) => Vec::new(),
-            Err(v) => v,
-        };
-        let mut recovered_records = vec![0u64; self.n];
+        let [evs_violations, token_violations, split_violations] = self.world.oracle_violations();
+        let mut recovered_records = vec![0u64; self.hosts()];
         if let Some((base, _, _)) = self.durable_cfg.clone() {
             for (i, recovered) in recovered_records.iter_mut().enumerate() {
                 // Live hosts flush their tail first; crashed hosts are
@@ -903,10 +821,7 @@ impl NemesisRunner {
                 }
             }
         }
-        let durability_violations = match self.durability.check() {
-            Ok(()) => Vec::new(),
-            Err(v) => v,
-        };
+        let durability_violations = self.durability.check().err().unwrap_or_default();
         let digest = self.digest(&final_rings);
         NemesisOutcome {
             converged,
@@ -918,7 +833,7 @@ impl NemesisRunner {
             split_violations,
             durability_violations,
             recovered_records,
-            tokens_seen: self.monitor.tokens_seen(),
+            tokens_seen: self.world.tokens_seen(),
             dropped: self.dropped,
             stopped_at: Duration::from_nanos(self.clock),
             digest,
@@ -940,9 +855,9 @@ impl NemesisRunner {
         // converge identically still produce distinct digests when
         // their loss patterns differed.
         eat(&self.dropped.to_le_bytes());
-        eat(&self.monitor.tokens_seen().to_le_bytes());
+        eat(&self.world.tokens_seen().to_le_bytes());
         eat(&self.clock.to_le_bytes());
-        for (i, ring) in final_rings.iter().enumerate().take(self.n) {
+        for (i, ring) in final_rings.iter().enumerate() {
             eat(&(i as u64).to_le_bytes());
             if let Some(r) = ring {
                 eat(&r.representative().as_u16().to_le_bytes());
@@ -963,6 +878,21 @@ impl NemesisRunner {
             }
         }
         h
+    }
+}
+
+fn open_host_durable(
+    base: &std::path::Path,
+    host: usize,
+    fsync: FsyncPolicy,
+    gate_safe: bool,
+) -> HostDurable {
+    let cfg = LogConfig::new(host_log_dir(base, host)).with_fsync(fsync);
+    let (log, _) = SegmentedLog::open(cfg).expect("open nemesis durable log");
+    HostDurable {
+        log,
+        gate_safe,
+        held: VecDeque::new(),
     }
 }
 
@@ -995,7 +925,10 @@ mod tests {
         let out = r.run(Duration::from_secs(10));
         out.assert_clean();
         assert!(out.deliveries.iter().all(|&d| d >= count));
-        r.checker.check_self_delivery(&[0, 1, 2, 3]).unwrap();
+        r.world
+            .evs_checker()
+            .check_self_delivery(&[0, 1, 2, 3])
+            .unwrap();
     }
 
     #[test]
@@ -1125,6 +1058,35 @@ mod tests {
             let dump = fr.dump();
             assert!(dump.windows(2).all(|w| w[0].at <= w[1].at));
         }
+    }
+
+    #[test]
+    fn nemesis_run_is_a_world_trace() {
+        // The runner adds only timing and randomness: replaying the
+        // operations it applied on a fresh world reaches the same state.
+        let plan = NemesisPlan::none()
+            .crash(Duration::from_millis(20), 3)
+            .partition(Duration::from_millis(60), vec![0, 0, 1, 1])
+            .heal(Duration::from_millis(300));
+        let mut r = NemesisRunner::new(4, ProtocolConfig::accelerated(), plan, 0.02, 9);
+        workload(&mut r, 4, 2);
+        r.start();
+        let out = r.run(Duration::from_secs(2));
+        assert!(out.evs_violations.is_empty(), "{:?}", out.evs_violations);
+        let has = |f: fn(&Op) -> bool| r.applied.iter().any(f);
+        assert!(has(|op| matches!(op, Op::Submit { .. })));
+        assert!(has(|op| matches!(op, Op::Step(Step::Drop { .. }))));
+        assert!(has(|op| matches!(op, Op::Step(Step::Timer { .. }))));
+        assert!(has(|op| matches!(op, Op::Fault(FaultEvent::Heal))));
+
+        let mut replayed = World::unstarted(4, &[], ProtocolConfig::accelerated()).unwrap();
+        for op in &r.applied {
+            op.apply(&mut replayed).unwrap();
+        }
+        assert_eq!(replayed.deliveries(), r.world.deliveries());
+        assert_eq!(replayed.state_hash(), r.world.state_hash());
+        let delivered: Vec<u64> = r.logs.iter().map(|l| l.len() as u64).collect();
+        assert_eq!(replayed.deliveries(), &delivered[..]);
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

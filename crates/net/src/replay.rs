@@ -1,15 +1,19 @@
-//! Deterministic schedule replay: the counterexample format the
-//! state-space explorer emits and the nemesis tooling consumes.
+//! The deterministic [`World`] both the explorer and the nemesis run in,
+//! and the schedule format that replays it.
 //!
-//! The explorer (`ar-explore`) enumerates interleavings of message
-//! deliveries, losses, duplications, and timer firings over a small
-//! ring of sans-io [`Participant`]s. When a path violates an oracle it
-//! is written out as a **schedule**: the world's initial conditions
-//! plus the exact step sequence that reached the violation. This
-//! module owns that format and the [`World`] that executes it, so a
-//! schedule replays bit-identically here — in the nemesis replay path —
-//! without the explorer crate in the loop, and checked-in regression
-//! schedules (`tests/corpus/`) keep reproducing across refactors.
+//! A [`World`] owns a small ring of sans-io [`Participant`]s, the
+//! messages in flight, the armed-timer matrix, the network's
+//! [`Connectivity`], and the oracles that watch every step
+//! ([`EvsChecker`], [`TokenRuleMonitor`], [`SendSplitChecker`]). It has
+//! no clock and no randomness; two callers choose what happens next:
+//!
+//! * the explorer (`ar-explore`) enumerates interleavings and writes a
+//!   path that violates an oracle out as a **schedule** (initial
+//!   conditions plus the exact [`Step`] sequence), which replays
+//!   bit-identically here; `tests/corpus/` holds regression schedules;
+//! * the nemesis ([`crate::nemesis::NemesisRunner`]) is a timed, seeded
+//!   policy over one world: a virtual clock, an RNG for each new
+//!   message's loss and arrival time, and deadlines for armed timers.
 //!
 //! Determinism contract (what makes a schedule replayable):
 //!
@@ -21,22 +25,29 @@
 //!   are irrelevant — the explorer treats "the timer fires now" as one
 //!   of the adversary's moves whenever the timer is armed).
 //!
-//! The same oracles the nemesis runner uses watch every step:
-//! [`EvsChecker`], [`TokenRuleMonitor`], and [`SendSplitChecker`].
-
-use std::collections::BTreeMap;
+//! Faults follow one rule whoever injects them (a schedule's
+//! [`Step::Fail`]/[`Step::Partition`]/[`Step::Merge`] or a nemesis
+//! plan's [`FaultEvent`]s): a crashed host's timers disarm and the
+//! messages in flight *to* it are discarded, while those it already
+//! sent stay in flight; a partition discards the in-flight messages
+//! crossing the new cut; afterwards, sends to a crashed or unreachable
+//! host are discarded at the sender. A heal restores reachability and
+//! resurrects nothing; a restart installs a fresh singleton
+//! incarnation that rejoins through membership.
 
 use ar_core::checker::{EvsChecker, SendSplitChecker, TokenRuleMonitor};
+use ar_core::fault::{Connectivity, FaultEvent};
 use ar_core::statehash::{StateHash, StateHasher};
 use ar_core::wire;
 use ar_core::{
-    Action, Message, Participant, ParticipantId, ProtocolConfig, RingId, ServiceType, TimerKind,
+    Action, ConfigChange, Delivery, Message, Participant, ParticipantId, ProtocolConfig, RingId,
+    ServiceType, TimerKind,
 };
 use ar_telemetry::json::{JsonWriter, Value};
 use bytes::Bytes;
 
-/// Timer kinds in their canonical schedule order (also the order the
-/// nemesis harness uses).
+/// Timer kinds in their canonical order: the schedule order of timer
+/// steps and the index of a host's row in the armed-timer matrix.
 pub const TIMER_KINDS: [TimerKind; 5] = [
     TimerKind::TokenLoss,
     TimerKind::TokenRetransmit,
@@ -45,25 +56,34 @@ pub const TIMER_KINDS: [TimerKind; 5] = [
     TimerKind::CommitTimeout,
 ];
 
-fn kind_idx(kind: TimerKind) -> usize {
+/// How many hosts a [`Step::Partition`] mask can place (one bit each).
+const MASK_HOSTS: u16 = u8::BITS as u16;
+
+pub(crate) fn kind_idx(kind: TimerKind) -> usize {
     TIMER_KINDS
         .iter()
         .position(|&k| k == kind)
         .expect("known kind")
 }
 
+/// Schedule names of [`TIMER_KINDS`], position for position.
+const TIMER_NAMES: [&str; 5] = [
+    "token-loss",
+    "token-retransmit",
+    "join",
+    "consensus",
+    "commit",
+];
+
 fn kind_name(kind: TimerKind) -> &'static str {
-    match kind {
-        TimerKind::TokenLoss => "token-loss",
-        TimerKind::TokenRetransmit => "token-retransmit",
-        TimerKind::Join => "join",
-        TimerKind::ConsensusTimeout => "consensus",
-        TimerKind::CommitTimeout => "commit",
-    }
+    TIMER_NAMES[kind_idx(kind)]
 }
 
 fn kind_from_name(s: &str) -> Option<TimerKind> {
-    TIMER_KINDS.iter().copied().find(|&k| kind_name(k) == s)
+    TIMER_NAMES
+        .iter()
+        .position(|&n| n == s)
+        .map(|i| TIMER_KINDS[i])
 }
 
 fn service_name(s: ServiceType) -> &'static str {
@@ -77,15 +97,10 @@ fn service_name(s: ServiceType) -> &'static str {
 }
 
 fn service_from_name(s: &str) -> Option<ServiceType> {
-    [
-        ServiceType::Reliable,
-        ServiceType::Fifo,
-        ServiceType::Causal,
-        ServiceType::Agreed,
-        ServiceType::Safe,
-    ]
-    .into_iter()
-    .find(|&v| service_name(v) == s)
+    use ServiceType::*;
+    [Reliable, Fifo, Causal, Agreed, Safe]
+        .into_iter()
+        .find(|&v| service_name(v) == s)
 }
 
 /// One adversary move in a schedule.
@@ -135,7 +150,8 @@ pub enum Step {
     /// `mask` form one component, the rest the other. In-flight
     /// messages crossing the cut are discarded and later sends across
     /// it are silently dropped. Canonical form keeps host 0's bit
-    /// clear. Spends one unit of the fault budget.
+    /// clear; worlds of more than eight hosts cannot be split by mask.
+    /// Spends one unit of the fault budget.
     Partition {
         /// Component bitmask (bit per host; bit 0 must be clear).
         mask: u8,
@@ -148,15 +164,29 @@ impl Step {
     /// Short human-readable rendering (`deliver#4`, `timer@2:join`,
     /// `partition:0b110`).
     pub fn describe(&self) -> String {
+        let op = self.op_name();
         match self {
-            Step::Deliver { msg } => format!("deliver#{msg}"),
-            Step::Duplicate { msg } => format!("duplicate#{msg}"),
-            Step::Drop { msg } => format!("drop#{msg}"),
-            Step::Timer { host, kind } => format!("timer@{host}:{}", kind_name(*kind)),
-            Step::Join { host } => format!("join@{host}"),
-            Step::Fail { host } => format!("fail@{host}"),
-            Step::Partition { mask } => format!("partition:{mask:#05b}"),
-            Step::Merge => "merge".into(),
+            Step::Deliver { msg } | Step::Duplicate { msg } | Step::Drop { msg } => {
+                format!("{op}#{msg}")
+            }
+            Step::Timer { host, kind } => format!("{op}@{host}:{}", kind_name(*kind)),
+            Step::Join { host } | Step::Fail { host } => format!("{op}@{host}"),
+            Step::Partition { mask } => format!("{op}:{mask:#05b}"),
+            Step::Merge => op.into(),
+        }
+    }
+
+    /// The step's `op` name in schedule JSON.
+    fn op_name(&self) -> &'static str {
+        match self {
+            Step::Deliver { .. } => "deliver",
+            Step::Duplicate { .. } => "duplicate",
+            Step::Drop { .. } => "drop",
+            Step::Timer { .. } => "timer",
+            Step::Join { .. } => "join",
+            Step::Fail { .. } => "fail",
+            Step::Partition { .. } => "partition",
+            Step::Merge => "merge",
         }
     }
 }
@@ -237,13 +267,16 @@ pub enum ScheduleError {
     /// spent.
     FaultBudgetExhausted,
     /// A `Partition` mask was non-canonical (zero, host 0 set, or bits
-    /// beyond the host count), or the world is already partitioned.
+    /// beyond the host count), the world has more hosts than the mask
+    /// has bits, or the world is already partitioned.
     BadPartition(u8),
     /// A `Merge` step arrived with no partition in force.
     NotPartitioned,
     /// The `joiners` list was invalid (out of range, duplicated, or no
     /// host left on the initial ring).
     BadJoiners(String),
+    /// The world was asked for zero hosts.
+    NoHosts,
 }
 
 impl core::fmt::Display for ScheduleError {
@@ -272,6 +305,7 @@ impl core::fmt::Display for ScheduleError {
             }
             ScheduleError::NotPartitioned => write!(f, "no partition in force to merge"),
             ScheduleError::BadJoiners(e) => write!(f, "bad joiners list: {e}"),
+            ScheduleError::NoHosts => write!(f, "a world needs at least one host"),
         }
     }
 }
@@ -282,13 +316,18 @@ impl Schedule {
     /// Serializes the schedule to its canonical JSON text.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
+        let num = |w: &mut JsonWriter, k: &str, v: u64| {
+            w.key(k);
+            w.num_u64(v);
+        };
+        let text = |w: &mut JsonWriter, k: &str, v: &str| {
+            w.key(k);
+            w.str(v);
+        };
         w.begin_object();
-        w.key("schema");
-        w.num_u64(2);
-        w.key("kind");
-        w.str("ar-explore-schedule");
-        w.key("hosts");
-        w.num_u64(u64::from(self.hosts));
+        num(&mut w, "schema", 2);
+        text(&mut w, "kind", "ar-explore-schedule");
+        num(&mut w, "hosts", self.hosts.into());
         if !self.joiners.is_empty() {
             w.key("joiners");
             w.begin_array();
@@ -297,25 +336,20 @@ impl Schedule {
             }
             w.end_array();
         }
-        w.key("config");
-        w.str(&self.config);
-        w.key("note");
-        w.str(&self.note);
-        w.key("expect");
-        w.str(match self.expect {
+        text(&mut w, "config", &self.config);
+        text(&mut w, "note", &self.note);
+        let expect = match self.expect {
             Expectation::Clean => "clean",
             Expectation::Violation => "violation",
-        });
+        };
+        text(&mut w, "expect", expect);
         w.key("submissions");
         w.begin_array();
         for s in &self.submissions {
             w.begin_object();
-            w.key("host");
-            w.num_u64(u64::from(s.host));
-            w.key("payload");
-            w.str(&s.payload);
-            w.key("service");
-            w.str(service_name(s.service));
+            num(&mut w, "host", s.host.into());
+            text(&mut w, "payload", &s.payload);
+            text(&mut w, "service", service_name(s.service));
             w.end_object();
         }
         w.end_array();
@@ -323,55 +357,18 @@ impl Schedule {
         w.begin_array();
         for step in &self.steps {
             w.begin_object();
-            match step {
-                Step::Deliver { msg } => {
-                    w.key("op");
-                    w.str("deliver");
-                    w.key("msg");
-                    w.num_u64(*msg);
-                }
-                Step::Duplicate { msg } => {
-                    w.key("op");
-                    w.str("duplicate");
-                    w.key("msg");
-                    w.num_u64(*msg);
-                }
-                Step::Drop { msg } => {
-                    w.key("op");
-                    w.str("drop");
-                    w.key("msg");
-                    w.num_u64(*msg);
+            text(&mut w, "op", step.op_name());
+            match *step {
+                Step::Deliver { msg } | Step::Duplicate { msg } | Step::Drop { msg } => {
+                    num(&mut w, "msg", msg);
                 }
                 Step::Timer { host, kind } => {
-                    w.key("op");
-                    w.str("timer");
-                    w.key("host");
-                    w.num_u64(u64::from(*host));
-                    w.key("kind");
-                    w.str(kind_name(*kind));
+                    num(&mut w, "host", host.into());
+                    text(&mut w, "kind", kind_name(kind));
                 }
-                Step::Join { host } => {
-                    w.key("op");
-                    w.str("join");
-                    w.key("host");
-                    w.num_u64(u64::from(*host));
-                }
-                Step::Fail { host } => {
-                    w.key("op");
-                    w.str("fail");
-                    w.key("host");
-                    w.num_u64(u64::from(*host));
-                }
-                Step::Partition { mask } => {
-                    w.key("op");
-                    w.str("partition");
-                    w.key("mask");
-                    w.num_u64(u64::from(*mask));
-                }
-                Step::Merge => {
-                    w.key("op");
-                    w.str("merge");
-                }
+                Step::Join { host } | Step::Fail { host } => num(&mut w, "host", host.into()),
+                Step::Partition { mask } => num(&mut w, "mask", mask.into()),
+                Step::Merge => {}
             }
             w.end_object();
         }
@@ -388,164 +385,103 @@ impl Schedule {
     /// [`ScheduleError::Malformed`] for structurally wrong schedules.
     pub fn from_json(text: &str) -> Result<Schedule, ScheduleError> {
         let v = Value::parse(text).map_err(|e| ScheduleError::Json(format!("{e:?}")))?;
-        let obj = |v: &Value, what: &str| -> Result<(), ScheduleError> {
-            v.as_object()
-                .map(|_| ())
-                .ok_or_else(|| ScheduleError::Malformed(format!("{what} must be an object")))
-        };
-        obj(&v, "schedule")?;
-        let field = |k: &str| -> Result<Value, ScheduleError> {
-            v.get(k)
-                .cloned()
-                .ok_or_else(|| ScheduleError::Malformed(format!("missing field {k:?}")))
-        };
-        let num = |k: &str| -> Result<u64, ScheduleError> {
-            field(k)?
-                .as_f64()
-                .map(|f| f as u64)
-                .ok_or_else(|| ScheduleError::Malformed(format!("field {k:?} must be a number")))
-        };
-        let text_field = |k: &str| -> Result<String, ScheduleError> {
-            field(k)?
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| ScheduleError::Malformed(format!("field {k:?} must be a string")))
-        };
-        if text_field("kind")? != "ar-explore-schedule" {
-            return Err(ScheduleError::Malformed(
-                "kind must be \"ar-explore-schedule\"".into(),
-            ));
+        if v.as_object().is_none() {
+            return Err(malformed("schedule must be an object".into()));
         }
-        let hosts = num("hosts")? as u16;
-        let expect = match text_field("expect")?.as_str() {
+        let top = "schedule";
+        if str_field(&v, "kind", top)? != "ar-explore-schedule" {
+            return Err(malformed("kind must be \"ar-explore-schedule\"".into()));
+        }
+        let expect = match str_field(&v, "expect", top)? {
             "clean" => Expectation::Clean,
             "violation" => Expectation::Violation,
-            other => {
-                return Err(ScheduleError::Malformed(format!(
-                    "expect must be clean|violation, got {other:?}"
-                )))
-            }
+            other => return Err(malformed(format!("unknown expect {other:?}"))),
         };
         let mut submissions = Vec::new();
-        for (i, s) in field("submissions")?
-            .as_array()
-            .ok_or_else(|| ScheduleError::Malformed("submissions must be an array".into()))?
-            .iter()
-            .enumerate()
-        {
-            let get_in = |s: &Value, k: &str| -> Result<Value, ScheduleError> {
-                s.get(k).cloned().ok_or_else(|| {
-                    ScheduleError::Malformed(format!("submission {i} missing {k:?}"))
-                })
-            };
-            let service_raw = get_in(s, "service")?;
-            let service_name_str = service_raw.as_str().ok_or_else(|| {
-                ScheduleError::Malformed(format!("submission {i} service must be a string"))
-            })?;
+        for (i, s) in array_field(&v, "submissions", top)?.iter().enumerate() {
+            let at = format!("submission {i}");
+            let service = str_field(s, "service", &at)?;
             submissions.push(Submission {
-                host: get_in(s, "host")?.as_f64().ok_or_else(|| {
-                    ScheduleError::Malformed(format!("submission {i} host must be a number"))
-                })? as u16,
-                payload: get_in(s, "payload")?
-                    .as_str()
-                    .ok_or_else(|| {
-                        ScheduleError::Malformed(format!("submission {i} payload must be a string"))
-                    })?
-                    .to_owned(),
-                service: service_from_name(service_name_str).ok_or_else(|| {
-                    ScheduleError::Malformed(format!(
-                        "submission {i}: unknown service {service_name_str:?}"
-                    ))
-                })?,
+                host: num_field(s, "host", &at)? as u16,
+                payload: str_field(s, "payload", &at)?.to_owned(),
+                service: service_from_name(service)
+                    .ok_or_else(|| malformed(format!("{at}: unknown service {service:?}")))?,
             });
         }
         let mut steps = Vec::new();
-        for (i, s) in field("steps")?
-            .as_array()
-            .ok_or_else(|| ScheduleError::Malformed("steps must be an array".into()))?
-            .iter()
-            .enumerate()
-        {
-            let op = s
-                .get("op")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ScheduleError::Malformed(format!("step {i} missing op")))?;
-            let msg_of = |s: &Value| -> Result<u64, ScheduleError> {
-                s.get("msg")
-                    .and_then(Value::as_f64)
-                    .map(|f| f as u64)
-                    .ok_or_else(|| ScheduleError::Malformed(format!("step {i} missing msg")))
-            };
-            steps.push(match op {
-                "deliver" => Step::Deliver { msg: msg_of(s)? },
-                "duplicate" => Step::Duplicate { msg: msg_of(s)? },
-                "drop" => Step::Drop { msg: msg_of(s)? },
+        for (i, s) in array_field(&v, "steps", top)?.iter().enumerate() {
+            let at = format!("step {i}");
+            let host = || num_field(s, "host", &at).map(|h| h as u16);
+            let msg = || num_field(s, "msg", &at);
+            steps.push(match str_field(s, "op", &at)? {
+                "deliver" => Step::Deliver { msg: msg()? },
+                "duplicate" => Step::Duplicate { msg: msg()? },
+                "drop" => Step::Drop { msg: msg()? },
                 "timer" => {
-                    let host =
-                        s.get("host").and_then(Value::as_f64).ok_or_else(|| {
-                            ScheduleError::Malformed(format!("step {i} missing host"))
-                        })? as u16;
-                    let kind_str = s.get("kind").and_then(Value::as_str).ok_or_else(|| {
-                        ScheduleError::Malformed(format!("step {i} missing kind"))
-                    })?;
-                    let kind = kind_from_name(kind_str).ok_or_else(|| {
-                        ScheduleError::Malformed(format!(
-                            "step {i}: unknown timer kind {kind_str:?}"
-                        ))
-                    })?;
-                    Step::Timer { host, kind }
-                }
-                "join" | "fail" => {
-                    let host =
-                        s.get("host").and_then(Value::as_f64).ok_or_else(|| {
-                            ScheduleError::Malformed(format!("step {i} missing host"))
-                        })? as u16;
-                    if op == "join" {
-                        Step::Join { host }
-                    } else {
-                        Step::Fail { host }
+                    let kind = str_field(s, "kind", &at)?;
+                    Step::Timer {
+                        host: host()?,
+                        kind: kind_from_name(kind).ok_or_else(|| {
+                            malformed(format!("{at}: unknown timer kind {kind:?}"))
+                        })?,
                     }
                 }
-                "partition" => {
-                    let mask =
-                        s.get("mask").and_then(Value::as_f64).ok_or_else(|| {
-                            ScheduleError::Malformed(format!("step {i} missing mask"))
-                        })? as u8;
-                    Step::Partition { mask }
-                }
+                "join" => Step::Join { host: host()? },
+                "fail" => Step::Fail { host: host()? },
+                "partition" => Step::Partition {
+                    mask: num_field(s, "mask", &at)? as u8,
+                },
                 "merge" => Step::Merge,
-                other => {
-                    return Err(ScheduleError::Malformed(format!(
-                        "step {i}: unknown op {other:?}"
-                    )))
-                }
+                other => return Err(malformed(format!("{at}: unknown op {other:?}"))),
             });
         }
         // `joiners` is optional: schema-1 schedules (all hosts on one
         // ring) omit it.
         let mut joiners = Vec::new();
-        if let Some(list) = v.get("joiners") {
-            for (i, j) in list
-                .as_array()
-                .ok_or_else(|| ScheduleError::Malformed("joiners must be an array".into()))?
-                .iter()
-                .enumerate()
-            {
-                joiners.push(j.as_f64().ok_or_else(|| {
-                    ScheduleError::Malformed(format!("joiner {i} must be a number"))
-                })? as u16);
+        if v.get("joiners").is_some() {
+            for j in array_field(&v, "joiners", top)? {
+                let num = j.as_f64().ok_or_else(|| malformed("bad joiner".into()));
+                joiners.push(num? as u16);
             }
         }
         Ok(Schedule {
-            hosts,
+            hosts: num_field(&v, "hosts", top)? as u16,
             joiners,
-            config: text_field("config")?,
+            config: str_field(&v, "config", top)?.to_owned(),
             submissions,
             steps,
             expect,
-            note: text_field("note").unwrap_or_default(),
+            note: str_field(&v, "note", top).unwrap_or_default().to_owned(),
         })
     }
+}
+
+fn malformed(what: String) -> ScheduleError {
+    ScheduleError::Malformed(what)
+}
+
+fn field<'v>(v: &'v Value, key: &str, at: &str) -> Result<&'v Value, ScheduleError> {
+    v.get(key)
+        .ok_or_else(|| malformed(format!("{at} missing {key:?}")))
+}
+
+fn num_field(v: &Value, key: &str, at: &str) -> Result<u64, ScheduleError> {
+    field(v, key, at)?
+        .as_f64()
+        .map(|f| f as u64)
+        .ok_or_else(|| malformed(format!("{at}: {key:?} must be a number")))
+}
+
+fn str_field<'v>(v: &'v Value, key: &str, at: &str) -> Result<&'v str, ScheduleError> {
+    field(v, key, at)?
+        .as_str()
+        .ok_or_else(|| malformed(format!("{at}: {key:?} must be a string")))
+}
+
+fn array_field<'v>(v: &'v Value, key: &str, at: &str) -> Result<&'v [Value], ScheduleError> {
+    field(v, key, at)?
+        .as_array()
+        .ok_or_else(|| malformed(format!("{at}: {key:?} must be an array")))
 }
 
 fn config_by_name(name: &str) -> Result<ProtocolConfig, ScheduleError> {
@@ -579,19 +515,46 @@ pub struct Inflight {
     pub dup_left: u8,
 }
 
+/// One thing a [`World`] operation did, reported in order to a caller
+/// that asked for a trace (the nemesis policy, which times them).
+#[derive(Debug, Clone)]
+pub(crate) enum Effect {
+    /// Message `id` from `from` to `to` entered flight.
+    Sent { id: u64, from: u16, to: u16 },
+    /// A send to a crashed or unreachable host was discarded.
+    Unreachable,
+    /// `host` armed (or re-armed) a protocol timer.
+    Armed { host: u16, kind: TimerKind },
+    /// `host` delivered a message to its application.
+    Delivered { host: u16, delivery: Delivery },
+    /// `host` delivered a configuration change.
+    Config { host: u16, change: ConfigChange },
+}
+
+/// The component vector a [`Step::Partition`] mask describes in an
+/// `n`-host world: bit `h` places host `h`. This is the one place masks
+/// become components, so [`World::enabled`] and [`World::apply_step`]
+/// share its width rule.
+fn mask_components(n: u16, mask: u8) -> Result<Vec<u8>, ScheduleError> {
+    let full = ((1u16 << n.min(MASK_HOSTS)) - 1) as u8;
+    if n > MASK_HOSTS || mask == 0 || mask & 1 != 0 || mask & !full != 0 {
+        return Err(ScheduleError::BadPartition(mask));
+    }
+    Ok((0..n).map(|h| (mask >> h) & 1).collect())
+}
+
 /// A deterministic, cloneable mini-universe of `n` participants with
-/// explicit in-flight messages and an armed-timer matrix, watched by
-/// the nemesis oracles.
+/// explicit in-flight messages, an armed-timer matrix, and the network's
+/// [`Connectivity`], watched by the oracles.
 ///
-/// Unlike [`crate::nemesis::NemesisRunner`], the world has no clock and
-/// no randomness: *every* nondeterministic choice (which message
-/// arrives next, what gets lost or duplicated, when timers fire) is an
-/// explicit [`Step`] chosen by the caller — the explorer's DFS or a
-/// [`Schedule`] being replayed. Cloning the world forks the universe,
-/// which is what makes depth-first exploration cheap.
+/// *Every* nondeterministic choice (which message arrives next, what is
+/// lost or duplicated, when timers fire or faults strike) is an
+/// operation chosen by the caller. Cloning the world forks the
+/// universe, which is what makes depth-first exploration cheap.
 #[derive(Debug, Clone)]
 pub struct World {
     n: u16,
+    cfg: ProtocolConfig,
     parts: Vec<Participant>,
     inflight: Vec<Inflight>,
     next_msg_id: u64,
@@ -601,10 +564,8 @@ pub struct World {
     joiner: Vec<bool>,
     /// True once a joiner's [`Step::Join`] has fired.
     joined: Vec<bool>,
-    /// True for silently stopped hosts.
-    failed: Vec<bool>,
-    /// Partition component per host (all equal = no partition).
-    component: Vec<u8>,
+    /// Crashed hosts and partition components.
+    conn: Connectivity,
     /// Remaining `Fail`/`Partition` steps the adversary may take. Part
     /// of the state fingerprint: two otherwise-identical worlds with
     /// different remaining budgets have different futures.
@@ -616,6 +577,8 @@ pub struct World {
     steps_applied: u64,
     dropped: u64,
     duplicated: u64,
+    /// Effects since the last [`World::take_effects`] (`None` = untraced).
+    effects: Option<Vec<Effect>>,
 }
 
 impl World {
@@ -626,8 +589,8 @@ impl World {
     ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError`] for unknown configs or out-of-range
-    /// submission hosts.
+    /// Returns [`ScheduleError`] for unknown configs, zero hosts, or
+    /// out-of-range submission hosts.
     pub fn new(
         hosts: u16,
         config: &str,
@@ -652,7 +615,29 @@ impl World {
         config: &str,
         submissions: &[Submission],
     ) -> Result<World, ScheduleError> {
-        let cfg = config_by_name(config)?;
+        let mut world = World::unstarted(hosts, joiners, config_by_name(config)?)?;
+        for s in submissions {
+            world.submit(s.host, s.payload.as_bytes(), s.service)?;
+        }
+        for h in 0..hosts {
+            if !world.joiner[h as usize] {
+                world.start(h)?;
+            }
+        }
+        Ok(world)
+    }
+
+    /// Builds the world without starting anyone: the initial-ring hosts
+    /// sit on their established ring and the joiners are idle
+    /// singletons, ready for [`World::submit`] and [`World::start`].
+    pub(crate) fn unstarted(
+        hosts: u16,
+        joiners: &[u16],
+        cfg: ProtocolConfig,
+    ) -> Result<World, ScheduleError> {
+        if hosts == 0 {
+            return Err(ScheduleError::NoHosts);
+        }
         let mut joiner = vec![false; hosts as usize];
         for &j in joiners {
             if j >= hosts {
@@ -685,14 +670,14 @@ impl World {
             .collect();
         let mut world = World {
             n: hosts,
+            cfg,
             parts,
             inflight: Vec::new(),
             next_msg_id: 0,
             armed: vec![[false; 5]; hosts as usize],
             joiner,
             joined: vec![false; hosts as usize],
-            failed: vec![false; hosts as usize],
-            component: vec![0; hosts as usize],
+            conn: Connectivity::full(hosts as usize),
             fault_budget: u8::MAX,
             checker: EvsChecker::new(hosts as usize),
             monitor: TokenRuleMonitor::new(),
@@ -701,6 +686,7 @@ impl World {
             steps_applied: 0,
             dropped: 0,
             duplicated: 0,
+            effects: None,
         };
         // Seed the checker with each host's bootstrap view so same-view
         // and transitional-subset checks are live from the first
@@ -711,24 +697,70 @@ impl World {
             let (id, members) = (ring.id(), ring.members().to_vec());
             world.checker.on_initial_config(i, id, &members);
         }
-        for s in submissions {
-            if s.host >= hosts {
-                return Err(ScheduleError::HostOutOfRange(s.host));
-            }
-            let i = s.host as usize;
-            world.checker.on_submit(i, s.payload.as_bytes());
-            world.parts[i]
-                .submit(Bytes::from(s.payload.clone().into_bytes()), s.service)
-                .expect("exploration workloads fit the send queue");
-        }
-        for i in 0..hosts as usize {
-            if world.joiner[i] {
-                continue;
-            }
-            let actions = world.parts[i].start();
-            world.ingest(i, actions);
-        }
         Ok(world)
+    }
+
+    /// Submits `payload` for ordering at `host` (tracked by the EVS
+    /// checker's self-delivery check).
+    pub(crate) fn submit(
+        &mut self,
+        host: u16,
+        payload: &[u8],
+        service: ServiceType,
+    ) -> Result<(), ScheduleError> {
+        let i = self.host_index(host)?;
+        self.checker.on_submit(i, payload);
+        self.parts[i]
+            .submit(Bytes::copy_from_slice(payload), service)
+            .expect("workloads fit the send queue");
+        Ok(())
+    }
+
+    /// Starts `host`'s participant (once per incarnation).
+    pub(crate) fn start(&mut self, host: u16) -> Result<(), ScheduleError> {
+        let i = self.host_index(host)?;
+        let actions = self.parts[i].start();
+        self.ingest(i, actions);
+        Ok(())
+    }
+
+    /// Applies one fault under the world's single crash/partition rule
+    /// (see the module docs). [`Step::Fail`], [`Step::Partition`] and
+    /// [`Step::Merge`] come through here after their budget and
+    /// canonical-form checks; a [`FaultEvent::Restart`] installs a
+    /// fresh, unstarted singleton incarnation, so the caller can attach
+    /// its observer before [`World::start`]. [`World::enabled`] never
+    /// offers a restart, so it does not widen the explorer's state
+    /// space.
+    pub(crate) fn apply_fault(&mut self, ev: &FaultEvent) -> Result<(), ScheduleError> {
+        if let FaultEvent::Crash { host } | FaultEvent::Restart { host } = ev {
+            self.host_index(u16::try_from(*host).unwrap_or(u16::MAX))?;
+        }
+        self.conn.apply(ev);
+        match ev {
+            FaultEvent::Crash { host } => {
+                // Silent stop: timers disarm, messages addressed to the
+                // host will never be processed. Messages it already
+                // sent stay in flight — packets survive their sender.
+                self.armed[*host] = [false; 5];
+                self.inflight.retain(|m| m.to as usize != *host);
+            }
+            FaultEvent::Restart { host } => {
+                let pid = ParticipantId::new(*host as u16);
+                self.parts[*host] =
+                    Participant::new_singleton(pid, self.cfg).expect("valid config");
+                self.armed[*host] = [false; 5];
+                self.checker.on_restart(*host);
+            }
+            FaultEvent::Partition { .. } => {
+                let conn = &self.conn;
+                self.inflight.retain(|m| {
+                    conn.component_of(m.from as usize) == conn.component_of(m.to as usize)
+                });
+            }
+            FaultEvent::Heal => {}
+        }
+        Ok(())
     }
 
     /// Caps the number of `Fail`/`Partition` steps the adversary may
@@ -741,7 +773,7 @@ impl World {
 
     /// True when `host` has silently stopped.
     pub fn is_failed(&self, host: u16) -> bool {
-        self.failed[host as usize]
+        self.conn.is_crashed(host as usize)
     }
 
     /// True when `host` started outside the initial ring and has not
@@ -753,12 +785,12 @@ impl World {
     /// The partition component `host` currently sits in (all equal
     /// when no partition is in force).
     pub fn component_of(&self, host: u16) -> u8 {
-        self.component[host as usize]
+        self.conn.component_of(host as usize)
     }
 
     /// True while a partition is in force.
     pub fn is_partitioned(&self) -> bool {
-        self.component.iter().any(|&c| c != self.component[0])
+        (1..self.n).any(|h| self.component_of(h) != self.component_of(0))
     }
 
     /// Number of hosts.
@@ -769,6 +801,16 @@ impl World {
     /// The messages currently in flight.
     pub fn inflight(&self) -> &[Inflight] {
         &self.inflight
+    }
+
+    /// The in-flight message `id`, if it is still in flight.
+    pub(crate) fn message(&self, id: u64) -> Option<&Inflight> {
+        self.find_msg(id).ok().map(|idx| &self.inflight[idx])
+    }
+
+    /// True when `host`'s `kind` timer is armed.
+    pub(crate) fn is_armed(&self, host: u16, kind: TimerKind) -> bool {
+        self.armed[host as usize][kind_idx(kind)]
     }
 
     /// Delivery counts per host.
@@ -786,14 +828,34 @@ impl World {
         &self.parts[i as usize]
     }
 
+    /// Host `i`'s participant, for environment-side controls that are
+    /// not protocol steps (observers, observed time, adaptive timeouts).
+    pub(crate) fn participant_mut(&mut self, i: u16) -> &mut Participant {
+        &mut self.parts[i as usize]
+    }
+
+    /// Starts recording [`Effect`]s for [`World::take_effects`].
+    pub(crate) fn trace_effects(&mut self) {
+        self.effects = Some(Vec::new());
+    }
+
+    /// The effects recorded since the last call, in order.
+    pub(crate) fn take_effects(&mut self) -> Vec<Effect> {
+        self.effects
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
     /// Every step the adversary may take from this state, in canonical
     /// order: delivers (ascending message id), duplicates, drops, timer
     /// firings (host-major, [`TIMER_KINDS`] order), then membership
     /// transitions (joins, fails, partitions, merge).
     ///
     /// Partitions are enumerated as every canonical two-component split
-    /// (host 0's bit clear) and only while no partition is in force;
-    /// fails and partitions require remaining fault budget.
+    /// (host 0's bit clear) and only while no partition is in force, in
+    /// worlds narrow enough for a mask; fails and partitions require
+    /// remaining fault budget.
     pub fn enabled(&self) -> Vec<Step> {
         let mut steps = Vec::with_capacity(self.inflight.len() * 3 + 8);
         for m in &self.inflight {
@@ -818,21 +880,19 @@ impl World {
             }
         }
         for h in 0..self.n {
-            if self.is_unjoined(h) && !self.failed[h as usize] {
+            if self.is_unjoined(h) && !self.is_failed(h) {
                 steps.push(Step::Join { host: h });
             }
         }
         if self.fault_budget > 0 {
             for h in 0..self.n {
-                if !self.failed[h as usize] {
+                if !self.is_failed(h) {
                     steps.push(Step::Fail { host: h });
                 }
             }
-            if !self.is_partitioned() {
-                for mask in 1u16..(1u16 << self.n.min(7)) {
-                    if mask & 1 == 0 {
-                        steps.push(Step::Partition { mask: mask as u8 });
-                    }
+            if !self.is_partitioned() && self.n <= MASK_HOSTS {
+                for mask in (2..1u16 << self.n).step_by(2) {
+                    steps.push(Step::Partition { mask: mask as u8 });
                 }
             }
         }
@@ -847,9 +907,7 @@ impl World {
     /// transitions). Used by the explorer's commutation test.
     pub fn step_target(&self, step: &Step) -> Option<u16> {
         match step {
-            Step::Deliver { msg } | Step::Duplicate { msg } => {
-                self.inflight.iter().find(|m| m.id == *msg).map(|m| m.to)
-            }
+            Step::Deliver { msg } | Step::Duplicate { msg } => self.message(*msg).map(|m| m.to),
             Step::Drop { .. } => None,
             Step::Timer { host, .. } => Some(*host),
             Step::Join { host } | Step::Fail { host } => Some(*host),
@@ -891,27 +949,20 @@ impl World {
                 self.dropped += 1;
             }
             Step::Timer { host, kind } => {
-                if *host >= self.n {
-                    return Err(ScheduleError::HostOutOfRange(*host));
-                }
-                let h = *host as usize;
-                let k = kind_idx(*kind);
-                if !self.armed[h][k] {
+                let h = self.host_index(*host)?;
+                if !self.is_armed(*host, *kind) {
                     return Err(ScheduleError::TimerNotArmed {
                         host: *host,
                         kind: kind_name(*kind),
                     });
                 }
-                self.armed[h][k] = false;
+                self.armed[h][kind_idx(*kind)] = false;
                 let actions = self.parts[h].handle_timer(*kind);
                 self.ingest(h, actions);
             }
             Step::Join { host } => {
-                if *host >= self.n {
-                    return Err(ScheduleError::HostOutOfRange(*host));
-                }
-                let h = *host as usize;
-                if !self.joiner[h] || self.joined[h] || self.failed[h] {
+                let h = self.host_index(*host)?;
+                if !self.is_unjoined(*host) || self.is_failed(*host) {
                     return Err(ScheduleError::CannotJoin(*host));
                 }
                 self.joined[h] = true;
@@ -919,60 +970,58 @@ impl World {
                 self.ingest(h, actions);
             }
             Step::Fail { host } => {
-                if *host >= self.n {
-                    return Err(ScheduleError::HostOutOfRange(*host));
-                }
-                let h = *host as usize;
-                if self.failed[h] {
+                let h = self.host_index(*host)?;
+                if self.is_failed(*host) {
                     return Err(ScheduleError::HostAlreadyFailed(*host));
                 }
                 if self.fault_budget == 0 {
                     return Err(ScheduleError::FaultBudgetExhausted);
                 }
                 self.fault_budget -= 1;
-                self.failed[h] = true;
-                // Silent stop: timers disarm, messages addressed to the
-                // host will never be processed. Messages it already
-                // sent stay in flight — packets survive their sender.
-                self.armed[h] = [false; 5];
-                self.inflight.retain(|m| m.to != *host);
+                self.apply_fault(&FaultEvent::Crash { host: h })?;
             }
             Step::Partition { mask } => {
                 if self.fault_budget == 0 {
                     return Err(ScheduleError::FaultBudgetExhausted);
                 }
-                let full = if self.n >= 8 {
-                    u8::MAX
-                } else {
-                    (1u8 << self.n) - 1
-                };
-                if *mask == 0 || mask & 1 != 0 || mask & !full != 0 || self.is_partitioned() {
+                let component_of = mask_components(self.n, *mask)?;
+                if self.is_partitioned() {
                     return Err(ScheduleError::BadPartition(*mask));
                 }
                 self.fault_budget -= 1;
-                for h in 0..self.n as usize {
-                    self.component[h] = (mask >> h) & 1;
-                }
-                let component = self.component.clone();
-                self.inflight
-                    .retain(|m| component[m.from as usize] == component[m.to as usize]);
+                self.apply_fault(&FaultEvent::Partition { component_of })?;
             }
             Step::Merge => {
                 if !self.is_partitioned() {
                     return Err(ScheduleError::NotPartitioned);
                 }
-                self.component.iter_mut().for_each(|c| *c = 0);
+                self.apply_fault(&FaultEvent::Heal)?;
             }
         }
         self.steps_applied += 1;
         Ok(())
     }
 
+    fn host_index(&self, host: u16) -> Result<usize, ScheduleError> {
+        if host < self.n {
+            Ok(host as usize)
+        } else {
+            Err(ScheduleError::HostOutOfRange(host))
+        }
+    }
+
+    /// Position of message `id` in flight. Identifiers are assigned in
+    /// push order and removals keep order, so the pool stays sorted.
     fn find_msg(&self, id: u64) -> Result<usize, ScheduleError> {
         self.inflight
-            .iter()
-            .position(|m| m.id == id)
-            .ok_or(ScheduleError::UnknownMessage(id))
+            .binary_search_by_key(&id, |m| m.id)
+            .map_err(|_| ScheduleError::UnknownMessage(id))
+    }
+
+    fn record(&mut self, effect: Effect) {
+        if let Some(effects) = self.effects.as_mut() {
+            effects.push(effect);
+        }
     }
 
     /// Whether a message sent by `from` can reach `to` right now: the
@@ -980,29 +1029,31 @@ impl World {
     /// and (for joiners) already booted into the world.
     fn reachable(&self, from: usize, to: u16) -> bool {
         let t = to as usize;
-        !self.failed[t]
-            && self.component[from] == self.component[t]
-            && (!self.joiner[t] || self.joined[t])
+        self.conn.can_reach(from, t) && (!self.joiner[t] || self.joined[t])
     }
 
     fn push_msg(&mut self, from: usize, to: u16, msg: Message) {
         if !self.reachable(from, to) {
+            self.record(Effect::Unreachable);
             return;
         }
         let id = self.next_msg_id;
         self.next_msg_id += 1;
+        let from = from as u16;
         self.inflight.push(Inflight {
             id,
-            from: from as u16,
+            from,
             to,
             msg,
             dup_left: 1,
         });
+        self.record(Effect::Sent { id, from, to });
     }
 
     fn ingest(&mut self, from: usize, actions: Vec<Action>) {
         self.split
             .on_actions(ParticipantId::new(from as u16), &actions);
+        let host = from as u16;
         for action in actions {
             match action {
                 Action::SendToken { to, token } => {
@@ -1014,27 +1065,30 @@ impl World {
                 }
                 Action::Multicast(m) => {
                     for to in 0..self.n {
-                        if to as usize != from {
+                        if to != host {
                             self.push_msg(from, to, Message::Data(m.clone()));
                         }
                     }
                 }
                 Action::MulticastJoin(j) => {
                     for to in 0..self.n {
-                        if to as usize != from {
+                        if to != host {
                             self.push_msg(from, to, Message::Join(j.clone()));
                         }
                     }
                 }
-                Action::Deliver(d) => {
-                    self.checker.on_delivery(from, &d);
+                Action::Deliver(delivery) => {
+                    self.checker.on_delivery(from, &delivery);
                     self.deliveries[from] += 1;
+                    self.record(Effect::Delivered { host, delivery });
                 }
-                Action::DeliverConfigChange(c) => {
-                    self.checker.on_config(from, &c);
+                Action::DeliverConfigChange(change) => {
+                    self.checker.on_config(from, &change);
+                    self.record(Effect::Config { host, change });
                 }
                 Action::SetTimer(kind) => {
                     self.armed[from][kind_idx(kind)] = true;
+                    self.record(Effect::Armed { host, kind });
                 }
                 Action::CancelTimer(kind) => {
                     self.armed[from][kind_idx(kind)] = false;
@@ -1063,10 +1117,10 @@ impl World {
                 h.write_bool(a);
             }
         }
-        for i in 0..self.n as usize {
-            h.write_bool(self.joined[i]);
-            h.write_bool(self.failed[i]);
-            h.write_u8(self.component[i]);
+        for i in 0..self.n {
+            h.write_bool(self.joined[i as usize]);
+            h.write_bool(self.is_failed(i));
+            h.write_u8(self.component_of(i));
         }
         h.write_u8(self.fault_budget);
         let mut msg_digests: Vec<u64> = self
@@ -1089,27 +1143,34 @@ impl World {
         h.finish()
     }
 
+    /// Each oracle's violations so far, as `[EVS, token rule, send
+    /// split]`. Non-destructive: the oracles keep accumulating
+    /// afterwards.
+    pub(crate) fn oracle_violations(&self) -> [Vec<String>; 3] {
+        [
+            self.checker.clone().check(),
+            self.monitor.clone().check(),
+            self.split.clone().check(),
+        ]
+        .map(|r| r.err().unwrap_or_default())
+    }
+
     /// Runs every oracle against the state reached so far and returns
     /// all violations (empty when green). Non-destructive: the oracles
     /// keep accumulating afterwards.
     pub fn violations(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut checker = self.checker.clone();
-        match checker.check() {
-            Ok(()) => {}
-            Err(v) => out.extend(v),
-        }
-        let mut monitor = self.monitor.clone();
-        match monitor.check() {
-            Ok(()) => {}
-            Err(v) => out.extend(v),
-        }
-        let mut split = self.split.clone();
-        match split.check() {
-            Ok(()) => {}
-            Err(v) => out.extend(v),
-        }
-        out
+        self.oracle_violations().concat()
+    }
+
+    /// Tokens the hosts have sent so far.
+    pub(crate) fn tokens_seen(&self) -> u64 {
+        self.monitor.tokens_seen()
+    }
+
+    /// The EVS oracle, for direct probes in tests.
+    #[cfg(test)]
+    pub(crate) fn evs_checker(&self) -> &EvsChecker {
+        &self.checker
     }
 
     /// Loss/duplication counters `(dropped, duplicated)`.
@@ -1171,28 +1232,21 @@ pub fn replay_schedule(schedule: &Schedule) -> Result<ReplayOutcome, ScheduleErr
 /// Renders a ready-to-paste `#[test]` regression stub for a schedule
 /// stored at `corpus_path` (relative to the repository root).
 pub fn regression_stub(test_name: &str, corpus_path: &str, expect: Expectation) -> String {
-    let expect_str = match expect {
+    let expect = match expect {
         Expectation::Clean => "Expectation::Clean",
         Expectation::Violation => "Expectation::Violation",
     };
-    let mut map = BTreeMap::new();
-    map.insert("{name}", test_name.to_owned());
-    map.insert("{path}", corpus_path.to_owned());
-    map.insert("{expect}", expect_str.to_owned());
-    let mut out = String::from(
-        "#[test]\n\
-         fn {name}() {\n    \
-             use accelerated_ring::net::replay::{replay_schedule, Expectation, Schedule};\n    \
-             let text = std::fs::read_to_string(\"{path}\").expect(\"corpus file\");\n    \
-             let schedule = Schedule::from_json(&text).expect(\"valid schedule\");\n    \
-             let outcome = replay_schedule(&schedule).expect(\"replayable\");\n    \
-             assert!(outcome.matches({expect}), \"outcome diverged: {:?}\", outcome.violations);\n\
-         }\n",
-    );
-    for (k, v) in map {
-        out = out.replace(k, &v);
-    }
-    out
+    "#[test]\n\
+     fn {name}() {\n    \
+         use accelerated_ring::net::replay::{replay_schedule, Expectation, Schedule};\n    \
+         let text = std::fs::read_to_string(\"{path}\").expect(\"corpus file\");\n    \
+         let schedule = Schedule::from_json(&text).expect(\"valid schedule\");\n    \
+         let outcome = replay_schedule(&schedule).expect(\"replayable\");\n    \
+         assert!(outcome.matches({expect}), \"outcome diverged: {:?}\", outcome.violations);\n\
+     }\n"
+    .replace("{expect}", expect)
+    .replace("{name}", test_name)
+    .replace("{path}", corpus_path)
 }
 
 #[cfg(test)]
@@ -1552,6 +1606,62 @@ mod tests {
                 "mask {mask:#b}"
             );
         }
+    }
+
+    #[test]
+    fn partitions_wider_than_the_mask_are_rejected() {
+        // Nine hosts do not fit a u8 mask: the step is an error, never a
+        // shift overflow, and no partition is ever enabled.
+        let mut s = demo_schedule(vec![Step::Partition { mask: 0b10 }]);
+        s.hosts = 9;
+        assert_eq!(
+            replay_schedule(&s).err(),
+            Some(ScheduleError::BadPartition(0b10))
+        );
+        let w = World::new(9, "accelerated", &[]).unwrap();
+        assert!(!w
+            .enabled()
+            .iter()
+            .any(|s| matches!(s, Step::Partition { .. })));
+    }
+
+    #[test]
+    fn eight_host_worlds_can_isolate_host_seven() {
+        let mut w = World::new(8, "accelerated", &[]).unwrap();
+        let steps = w.enabled();
+        assert!(steps.contains(&Step::Partition { mask: 0b1000_0000 }));
+        assert!(steps.contains(&Step::Partition { mask: 0b1111_1110 }));
+        w.apply_step(&Step::Partition { mask: 0b1000_0000 })
+            .unwrap();
+        assert_ne!(w.component_of(7), w.component_of(0));
+        assert_eq!(w.component_of(6), w.component_of(0));
+    }
+
+    #[test]
+    fn restart_installs_a_fresh_singleton_incarnation() {
+        let mut w = World::new(3, "accelerated", &[]).unwrap();
+        w.apply_fault(&FaultEvent::Crash { host: 2 }).unwrap();
+        assert!(w.is_failed(2));
+        assert!(w.inflight().iter().all(|m| m.to != 2));
+        w.apply_fault(&FaultEvent::Restart { host: 2 }).unwrap();
+        assert!(!w.is_failed(2));
+        assert_eq!(w.participant(2).ring().members(), &[ParticipantId::new(2)]);
+        assert!(!TIMER_KINDS.iter().any(|&k| w.is_armed(2, k)));
+        w.start(2).unwrap();
+        assert!(TIMER_KINDS.iter().any(|&k| w.is_armed(2, k)));
+        assert_eq!(
+            w.apply_fault(&FaultEvent::Restart { host: 3 }),
+            Err(ScheduleError::HostOutOfRange(3))
+        );
+        assert!(w.violations().is_empty(), "{:?}", w.violations());
+    }
+
+    #[test]
+    fn zero_host_worlds_are_rejected() {
+        assert_eq!(
+            World::new(0, "accelerated", &[]).err(),
+            Some(ScheduleError::NoHosts)
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Chaos-harness walkthrough: script a fault plan, run it against a
 //! virtual five-node ring, show the reproducibility digest, then
 //! restart a live daemon (and its service tier) under a TCP client and
-//! watch the client reconnect.
+//! watch the client reconnect. Exits with status 1 if repeating the
+//! virtual run with the same seed does not reproduce its digest.
 //!
 //! ```bash
 //! cargo run --example nemesis_demo [seed]
@@ -40,15 +41,19 @@ fn main() {
         outcome.digest,
     );
     let repeat = run_plan(&plan, seed);
+    let replayable = repeat.digest == outcome.digest;
     println!(
         "seed {seed} again: digest={:#018x} ({})",
         repeat.digest,
-        if repeat.digest == outcome.digest {
+        if replayable {
             "bit-identical — replayable"
         } else {
             "MISMATCH"
         }
     );
+    if !replayable {
+        std::process::exit(1);
+    }
 
     // ---- part 2: a live daemon restart under a TCP client ----------------
     println!("\nlive: 2 daemons, TCP client, restart daemon 0 mid-session");
