@@ -21,7 +21,7 @@ use ar_telemetry::Counter;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use ar_net::{AppEvent, Runtime, Transport};
+use ar_net::{AppEvent, Runtime, Transport, Waker};
 
 use crate::client::{ClientError, ClientEvent, DaemonClient};
 use crate::group::GroupTable;
@@ -43,6 +43,9 @@ pub(crate) enum Command {
         /// Shared counter of events dropped because the session's
         /// bounded queue was full.
         drops: Arc<AtomicU64>,
+        /// Woken after every event push, so a consumer blocked in a
+        /// [`ar_net::PollSet`] wait learns of it at once.
+        waker: Option<Arc<Waker>>,
         ack: Sender<Result<(), ClientError>>,
     },
     Unregister {
@@ -254,7 +257,7 @@ impl DaemonHandle {
     /// [`ClientError::DuplicateName`], or [`ClientError::DaemonDown`].
     pub fn connect(&self, name: &str) -> Result<DaemonClient, ClientError> {
         self.connector()
-            .connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, false)
+            .connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, None)
     }
 
     /// Stops the daemon and returns its loop result.
@@ -302,7 +305,10 @@ impl DaemonConnector {
     /// `capacity` (see [`DaemonHandle::connect`]). The session
     /// additionally receives a [`ClientEvent::Ordered`] each time one
     /// of its own multicasts is applied; the `ar-svc` tier uses this to
-    /// replenish per-client publish credits at Agreed time.
+    /// replenish per-client publish credits at Agreed time. The daemon
+    /// loop calls [`Waker::wake`] on `waker` after every event it
+    /// queues for the session, so the tier's poll loop can sleep on the
+    /// waker instead of polling the queue on a timer.
     ///
     /// # Errors
     ///
@@ -311,15 +317,18 @@ impl DaemonConnector {
         &self,
         name: &str,
         capacity: usize,
+        waker: Arc<Waker>,
     ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, true)
+        self.connect_inner(name, capacity, Some(waker))
     }
 
+    /// Registers a session; service sessions (those with a waker) also
+    /// opt into send acks.
     fn connect_inner(
         &self,
         name: &str,
         capacity: usize,
-        wants_send_acks: bool,
+        waker: Option<Arc<Waker>>,
     ) -> Result<DaemonClient, ClientError> {
         if name.is_empty() || name.len() > MAX_NAME {
             return Err(ClientError::InvalidName);
@@ -331,8 +340,9 @@ impl DaemonConnector {
             .send(Command::Register {
                 name: name.to_string(),
                 events: events_tx,
-                wants_send_acks,
+                wants_send_acks: waker.is_some(),
                 drops: Arc::clone(&drops),
+                waker,
                 ack: ack_tx,
             })
             .map_err(|_| ClientError::DaemonDown)?;
@@ -357,15 +367,22 @@ struct Session {
     /// Events dropped because the bounded queue was full (shared with
     /// the client handle / service tier).
     drops: Arc<AtomicU64>,
+    /// The service tier's poll-loop wake-up, if it registered one.
+    waker: Option<Arc<Waker>>,
 }
 
 impl Session {
     /// Non-blocking event delivery: a stalled client loses events (and
-    /// they are counted) rather than stalling the protocol loop.
+    /// they are counted) rather than stalling the protocol loop. The
+    /// waker fires even when the queue was full: its consumer is the
+    /// one that must drain it.
     fn push(&self, ev: ClientEvent, overflow: &Counter) {
         if self.tx.try_send(ev).is_err() {
             self.drops.fetch_add(1, Ordering::Relaxed);
             overflow.add(1);
+        }
+        if let Some(w) = &self.waker {
+            w.wake();
         }
     }
 }
@@ -622,6 +639,7 @@ impl<T: Transport> DaemonLoop<T> {
                 events,
                 wants_send_acks,
                 drops,
+                waker,
                 ack,
             } => {
                 let result = match self.sessions.entry(name) {
@@ -633,6 +651,7 @@ impl<T: Transport> DaemonLoop<T> {
                             tx: events,
                             wants_send_acks,
                             drops,
+                            waker,
                         });
                         Ok(())
                     }
@@ -1138,6 +1157,34 @@ mod tests {
         );
         let expected: Vec<String> = (0..5).map(|k| format!("drain-{k}")).collect();
         assert_eq!(texts, expected);
+    }
+
+    #[test]
+    fn service_session_waker_fires_on_membership() {
+        let daemons = ring_of_daemons(1);
+        let waker = Arc::new(Waker::new().unwrap());
+        let svc = daemons[0]
+            .connector()
+            .connect_service("svc", 16, Arc::clone(&waker))
+            .unwrap();
+        svc.join("g").unwrap();
+        let mut set = ar_net::PollSet::new();
+        loop {
+            set.clear();
+            let slot = set.register(waker.fd());
+            assert!(
+                set.wait(Duration::from_secs(10)).unwrap() && set.is_readable(slot),
+                "no wake-up for a queued event"
+            );
+            waker.reset();
+            if svc
+                .drain()
+                .iter()
+                .any(|e| matches!(e, ClientEvent::Membership { .. }))
+            {
+                break;
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! The socket is non-blocking; [`SvcClient::pump`] drains it into an
 //! internal event queue. [`recv`](SvcClient::recv) wraps pump in a
-//! bounded wait for convenience. Publishing is credit-limited:
+//! bounded wait for convenience, blocking on the socket's readiness
+//! between pumps. Publishing is credit-limited:
 //! [`try_publish`](SvcClient::try_publish) fails fast when the window
 //! is exhausted, [`publish`](SvcClient::publish) waits for a credit.
 //!
@@ -44,6 +45,7 @@ use std::time::{Duration, Instant};
 use ar_core::backoff::{Backoff, BackoffConfig};
 use ar_core::ServiceType;
 use ar_daemon::MemberId;
+use ar_net::PollSet;
 use bytes::Bytes;
 
 use crate::wire::{
@@ -206,6 +208,21 @@ enum Sock {
 }
 
 impl Sock {
+    fn fd(&self) -> i32 {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            match self {
+                Sock::Tcp(s) => s.as_raw_fd(),
+                Sock::Uds(s) => s.as_raw_fd(),
+            }
+        }
+        #[cfg(not(unix))]
+        {
+            -1
+        }
+    }
+
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Sock::Tcp(s) => s.read(buf),
@@ -488,7 +505,8 @@ impl SvcClient {
     ///
     /// # Errors
     ///
-    /// [`PublishError::NoCredits`] when no credit arrived in time;
+    /// [`PublishError::NoCredits`] when no credit arrived in time, or
+    /// the session is gone and none ever will;
     /// [`PublishError::Io`] on socket errors.
     pub fn publish(
         &mut self,
@@ -501,12 +519,12 @@ impl SvcClient {
         loop {
             match self.try_publish(groups, service, payload.clone()) {
                 Err(PublishError::NoCredits) => {
-                    if Instant::now() >= deadline {
+                    if self.evicted.is_some() || Instant::now() >= deadline {
                         return Err(PublishError::NoCredits);
                     }
                     self.pump()?;
                     if self.credits == 0 {
-                        std::thread::sleep(Duration::from_micros(200));
+                        self.wait_readable(deadline);
                     }
                 }
                 other => return other,
@@ -772,9 +790,25 @@ impl SvcClient {
                 return self.queue.pop_front();
             }
             if self.queue.is_empty() {
-                std::thread::sleep(Duration::from_micros(500));
+                if self.evicted.is_some() {
+                    // Nothing more can arrive, and the closed socket
+                    // would poll readable at once: wait out the timeout.
+                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                    return None;
+                }
+                self.wait_readable(deadline);
             }
         }
+    }
+
+    /// Blocks until the socket has bytes (or a hangup) to pump, or
+    /// `deadline` passes. A closed socket stays readable, so callers
+    /// stop waiting once the session is evicted.
+    fn wait_readable(&self, deadline: Instant) {
+        let mut set = PollSet::new();
+        set.register(self.sock.fd());
+        // An error here resurfaces from the next pump's read.
+        let _ = set.wait(deadline.saturating_duration_since(Instant::now()));
     }
 
     /// Drains already-received events (pumps once, never sleeps).

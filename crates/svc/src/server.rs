@@ -6,10 +6,15 @@
 //! and registered with an [`ar_net::PollSet`] — the same ppoll loop
 //! the batched UDP datapath uses, at client-count scale. The loop:
 //!
-//! 1. polls listeners + client sockets for readability (short
-//!    timeout, since daemon events arrive on channels, not fds);
-//! 2. accepts new connections (refusing past `max_clients`);
-//! 3. reads frames, handling Hello/Join/Leave/Publish/Ack/Goodbye;
+//! 1. polls listeners, client sockets and one [`Waker`] for
+//!    readability. Daemon events arrive on channels, which a poll
+//!    cannot watch, so every daemon thread wakes the waker after it
+//!    queues an event for a session here; the poll's 2 ms timeout is
+//!    only a fallback tick for time-driven work;
+//! 2. accepts new connections on the listeners the poll flagged
+//!    (refusing past `max_clients`);
+//! 3. reads frames from the connections the poll flagged, handling
+//!    Hello/Join/Leave/Publish/Ack/Goodbye;
 //! 4. drains each session's daemon events into window-gated delivery
 //!    queues and credit grants;
 //! 5. flushes write buffers and evicts slow consumers per policy.
@@ -70,7 +75,7 @@ use ar_daemon::{
     ClientEvent, DaemonClient, DaemonConnector, DaemonHandle, MemberId, ShardMap, ShardedDaemon,
     TelemetryHub,
 };
-use ar_net::PollSet;
+use ar_net::{PollSet, Waker};
 use ar_telemetry::{Counter, Gauge};
 use bytes::Bytes;
 
@@ -397,6 +402,7 @@ fn serve_shards(
         None => SvcStats::default(),
     };
     let stop = Arc::new(AtomicBool::new(false));
+    let waker = Arc::new(Waker::new()?);
     let mut server = Server {
         pid: connectors[0].pid(),
         map: ShardMap::new(connectors.len()),
@@ -414,6 +420,8 @@ fn serve_shards(
         by_name: HashMap::new(),
         session_seed: session_salt(),
         poll: PollSet::new(),
+        waker,
+        ready: Readiness::default(),
     };
     let join = std::thread::spawn(move || server.run());
     Ok(SvcHandle {
@@ -614,6 +622,23 @@ fn push_frame(wbuf: &mut WriteBuf, frame_body: &ServerFrame) {
 
 // ---- server loop ----------------------------------------------------------
 
+/// The poll timeout. No delivery or credit grant waits for it (daemon
+/// events wake the poll); it paces only the time-driven passes: the
+/// hold-back watchdog, parking and reaping, and releasing credits
+/// withheld while the ring was congested.
+const FALLBACK_TICK: Duration = Duration::from_millis(2);
+
+/// What the last poll flagged readable, for the accept and read passes.
+#[derive(Default)]
+struct Readiness {
+    tcp: bool,
+    #[cfg(unix)]
+    uds: bool,
+    /// Connection ids: every registered one while the poll is built,
+    /// then only those the poll flagged.
+    conns: Vec<u64>,
+}
+
 struct Server {
     /// The participant id all shards present (locality test for
     /// hold-back: only locally connected publishers have floors).
@@ -638,6 +663,10 @@ struct Server {
     /// SplitMix64 state for session-id generation.
     session_seed: u64,
     poll: PollSet,
+    /// Woken by every shard's daemon loop after it queues an event for
+    /// one of this tier's sessions.
+    waker: Arc<Waker>,
+    ready: Readiness,
 }
 
 impl Server {
@@ -670,53 +699,64 @@ impl Server {
         Ok(())
     }
 
-    /// One ppoll over listeners + every client socket. Readability
-    /// results are consumed immediately by the accept/read passes; a
-    /// short timeout keeps daemon-event pumping responsive (those
-    /// arrive on channels the poll cannot watch).
+    /// One ppoll over the listeners, the waker and every client socket,
+    /// recording in `ready` what was readable. A readable waker is
+    /// reset here, before [`Self::pump_daemon_events`] drains the
+    /// event channels, so an event queued after that drain wakes the
+    /// next poll (see [`ar_net::poll`]).
     fn poll_sockets(&mut self) -> io::Result<()> {
+        use std::os::fd::AsRawFd;
         self.poll.clear();
-        if let Some(l) = &self.tcp {
-            use std::os::fd::AsRawFd;
-            self.poll.register(l.as_raw_fd());
-        }
+        let tcp_slot = self.tcp.as_ref().map(|l| self.poll.register(l.as_raw_fd()));
         #[cfg(unix)]
-        if let Some(l) = &self.uds {
-            use std::os::fd::AsRawFd;
-            self.poll.register(l.as_raw_fd());
-        }
-        for conn in self.conns.values() {
+        let uds_slot = self.uds.as_ref().map(|l| self.poll.register(l.as_raw_fd()));
+        let waker_slot = self.poll.register(self.waker.fd());
+        let first_conn_slot = self.poll.len();
+        self.ready.conns.clear();
+        for (id, conn) in &self.conns {
             self.poll.register(conn.sock.fd());
+            self.ready.conns.push(*id);
         }
-        self.poll.wait(Duration::from_millis(2))?;
+        self.poll.wait(FALLBACK_TICK)?;
+        let poll = &self.poll;
+        self.ready.tcp = tcp_slot.is_some_and(|s| poll.is_readable(s));
+        #[cfg(unix)]
+        {
+            self.ready.uds = uds_slot.is_some_and(|s| poll.is_readable(s));
+        }
+        let mut slot = first_conn_slot;
+        self.ready.conns.retain(|_| {
+            let readable = poll.is_readable(slot);
+            slot += 1;
+            readable
+        });
+        if poll.is_readable(waker_slot) {
+            self.waker.reset();
+        }
         Ok(())
     }
 
     fn accept_new(&mut self) {
-        loop {
-            let sock = if let Some(l) = &self.tcp {
-                match l.accept() {
-                    Ok((s, _)) => {
-                        let _ = s.set_nodelay(true);
-                        let _ = s.set_nonblocking(true);
-                        Some(Sock::Tcp(s))
-                    }
-                    Err(_) => None,
+        let mut accepted = Vec::new();
+        if self.ready.tcp {
+            if let Some(l) = &self.tcp {
+                while let Ok((s, _)) = l.accept() {
+                    let _ = s.set_nodelay(true);
+                    let _ = s.set_nonblocking(true);
+                    accepted.push(Sock::Tcp(s));
                 }
-            } else {
-                None
-            };
-            #[cfg(unix)]
-            let sock = sock.or_else(|| {
-                self.uds.as_ref().and_then(|l| match l.accept() {
-                    Ok((s, _)) => {
-                        let _ = s.set_nonblocking(true);
-                        Some(Sock::Uds(s))
-                    }
-                    Err(_) => None,
-                })
-            });
-            let Some(mut sock) = sock else { return };
+            }
+        }
+        #[cfg(unix)]
+        if self.ready.uds {
+            if let Some(l) = &self.uds {
+                while let Ok((s, _)) = l.accept() {
+                    let _ = s.set_nonblocking(true);
+                    accepted.push(Sock::Uds(s));
+                }
+            }
+        }
+        for mut sock in accepted {
             if self.conns.len() >= self.config.max_clients {
                 // Best-effort refusal; the socket closes either way.
                 let body = encode_server(&ServerFrame::Refused {
@@ -742,10 +782,11 @@ impl Server {
         }
     }
 
+    /// Reads the connections the last poll flagged readable.
     fn read_all(&mut self) {
         let mut chunk = [0u8; 64 * 1024];
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
+        let ids = std::mem::take(&mut self.ready.conns);
+        for &id in &ids {
             let mut frames = Vec::new();
             {
                 let Some(conn) = self.conns.get_mut(&id) else {
@@ -791,6 +832,7 @@ impl Server {
                 self.handle_frame(id, &f);
             }
         }
+        self.ready.conns = ids;
     }
 
     /// Condemns a connection *and its session* — used for protocol
@@ -987,7 +1029,11 @@ impl Server {
         let mut clients = Vec::with_capacity(self.connectors.len());
         let mut refuse = None;
         for connector in &self.connectors {
-            match connector.connect_service(&name, self.config.event_capacity) {
+            match connector.connect_service(
+                &name,
+                self.config.event_capacity,
+                Arc::clone(&self.waker),
+            ) {
                 Ok(client) => clients.push(client),
                 Err(e) => {
                     refuse = Some(e.to_string());
@@ -1208,13 +1254,16 @@ impl Server {
         // shard queues that could hold earlier stamps are drained (see
         // `crate::order` for the invariant). Parked sessions keep
         // their floors — their in-flight publishes still complete.
+        // Single-ring mode holds nothing back and never reads them.
+        let single_ring = self.connectors.len() == 1;
         let mut floors: HashMap<String, u64> = HashMap::new();
-        for sess in self.sessions.values() {
-            if !sess.dead {
-                floors.insert(sess.name.clone(), sess.flow.ordered_through());
+        if !single_ring {
+            for sess in self.sessions.values() {
+                if !sess.dead {
+                    floors.insert(sess.name.clone(), sess.flow.ordered_through());
+                }
             }
         }
-        let single_ring = self.connectors.len() == 1;
         let pid = self.pid;
         let max_pending = self.config.flow.max_pending;
         let mut deferred_delta: i64 = 0;
@@ -1632,5 +1681,79 @@ impl Server {
         self.stats.retained_bytes.set(retained);
         self.stats.holdback_held.set(held);
         self.stats.holdback_held_ms.set(oldest_ms);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{SvcClient, SvcEvent};
+    use ar_core::{Participant, ProtocolConfig, RingId, ServiceType};
+    use ar_net::LoopbackNet;
+
+    const DEADLINE: Duration = Duration::from_secs(60);
+
+    /// Pumps until `client` sees `group` with `n` members.
+    fn wait_for_members(client: &mut SvcClient, group: &str, n: usize) {
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            assert!(Instant::now() < deadline, "{group} never reached {n}");
+            if let Some(SvcEvent::Membership { group: g, members }) =
+                client.recv(Duration::from_millis(100))
+            {
+                if g == group && members.len() == n {
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn client_connecting_while_another_idles_is_served() {
+        let net = LoopbackNet::new();
+        let pid = ParticipantId::new(0);
+        let part = Participant::new(
+            pid,
+            ProtocolConfig::accelerated(),
+            RingId::new(pid, 1),
+            vec![pid],
+        )
+        .unwrap();
+        let daemon = ar_daemon::spawn_daemon(part, net.endpoint(pid));
+        let listeners = SvcListeners {
+            tcp: Some("127.0.0.1:0".parse().unwrap()),
+            uds: None,
+        };
+        let svc = serve_clients(&daemon, listeners, SvcConfig::default()).unwrap();
+        let addr = svc.tcp_addr().unwrap();
+
+        let mut first = SvcClient::connect_tcp(addr, "first").unwrap();
+        first.join("g").unwrap();
+        wait_for_members(&mut first, "g", 1);
+        // The first client is now idle: nothing is readable but the
+        // listener when the second one dials.
+        let mut second = SvcClient::connect_tcp(addr, "second").unwrap();
+        second.join("g").unwrap();
+        wait_for_members(&mut second, "g", 2);
+        first
+            .publish(
+                &["g"],
+                ServiceType::Agreed,
+                Bytes::from_static(b"hi"),
+                DEADLINE,
+            )
+            .unwrap();
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            assert!(
+                Instant::now() < deadline,
+                "no delivery reached the second client"
+            );
+            if let Some(SvcEvent::Deliver { payload, .. }) = second.recv(Duration::from_millis(100))
+            {
+                assert_eq!(payload, Bytes::from_static(b"hi"));
+                break;
+            }
+        }
     }
 }
